@@ -3,13 +3,11 @@
 //
 // Three sections:
 //   ingest    - writes a synthetic multi-configuration EDP corpus to disk,
-//               then times ingest_edp_files in streaming and materialising
-//               mode (MB/s each) and records the peak-RSS growth of the
-//               streaming pass (getrusage ru_maxrss delta), which must stay
-//               bounded by the largest rank block, not the corpus size.
+//               then times ingest_edp_files (MB/s) and records the peak-RSS
+//               growth of that pass (getrusage ru_maxrss delta), which must
+//               stay bounded by the largest rank block, not the corpus size.
 //   fitter    - hypothesis-search throughput (hypotheses/sec) over the
-//               two-term PMNF space, for the scalar and vector simd
-//               backends at 1 and 4 threads.
+//               two-term PMNF space at 1 and 4 threads.
 //   gate      - optional perf_thresholds.json enforcement (exit 1 on
 //               violation), with deliberately loose machine-independent
 //               bounds: the gate catches order-of-magnitude cliffs (a
@@ -36,7 +34,6 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "common/simd.hpp"
 #include "common/table.hpp"
 #include "eval/report.hpp"
 #include "extradeep/ingest.hpp"
@@ -63,8 +60,8 @@ double now_seconds() {
 }
 
 /// Peak resident set size of this process so far, in MB. Monotonic, so the
-/// streaming-ingest RSS budget is measured as a delta across that pass, and
-/// the streaming pass runs before the materialising one.
+/// ingest RSS budget is measured as a delta across that pass, which runs
+/// first.
 double peak_rss_mb() {
     struct rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
@@ -161,13 +158,10 @@ void remove_corpus(const Corpus& corpus) {
 struct IngestTiming {
     double seconds = 0.0;
     double rss_delta_mb = 0.0;
-    std::size_t configs_kept = 0;
-    std::size_t runs_kept = 0;
 };
 
-IngestTiming time_ingest(const Corpus& corpus, bool streaming, int threads) {
+IngestTiming time_ingest(const Corpus& corpus, int threads) {
     IngestOptions options;
-    options.streaming = streaming;
     options.num_threads = threads;
     const double rss_before = peak_rss_mb();
     const double t0 = now_seconds();
@@ -175,8 +169,6 @@ IngestTiming time_ingest(const Corpus& corpus, bool streaming, int threads) {
     IngestTiming timing;
     timing.seconds = now_seconds() - t0;
     timing.rss_delta_mb = peak_rss_mb() - rss_before;
-    timing.configs_kept = result.configs_kept;
-    timing.runs_kept = result.runs_kept;
     if (!result.ok()) {
         throw Error("extradeep-perf: ingest of the synthetic corpus failed: " +
                     result.summary());
@@ -191,9 +183,7 @@ struct FitterTiming {
 
 /// Times ModelGenerator::fit over the two-term search space until
 /// `budget_seconds` elapses (at least one fit).
-FitterTiming time_fitter(simd::Backend backend, int threads,
-                         double budget_seconds) {
-    simd::set_backend(backend);
+FitterTiming time_fitter(int threads, double budget_seconds) {
     std::vector<double> xs = {2, 4, 6, 8, 10, 12, 16, 24, 32, 48};
     std::vector<double> ys;
     for (const double x : xs) {
@@ -272,8 +262,8 @@ int main(int argc, char** argv) {
     try {
         std::vector<eval::MetricRecord> records;
 
-        // --- ingest: streaming first, so its RSS delta is measured before
-        // the materialising pass inflates the (monotonic) peak.
+        // --- ingest: first, so its RSS delta is measured before the fitter
+        // section can raise the (monotonic) peak.
         std::printf("writing ~%.0f MB synthetic EDP corpus...\n", corpus_mb);
         const Corpus corpus = write_corpus(corpus_mb);
         std::printf("corpus: %zu files, %.1f MB in %s\n", corpus.paths.size(),
@@ -282,50 +272,32 @@ int main(int argc, char** argv) {
         add_record(records, "corpus", "files",
                    static_cast<double>(corpus.paths.size()));
 
-        const IngestTiming stream = time_ingest(corpus, true, threads);
-        const IngestTiming mat = time_ingest(corpus, false, threads);
+        const IngestTiming ingest = time_ingest(corpus, threads);
         if (keep_files) {
             std::printf("keeping corpus in %s\n", corpus.dir.c_str());
         } else {
             remove_corpus(corpus);
         }
-        if (stream.configs_kept != mat.configs_kept ||
-            stream.runs_kept != mat.runs_kept) {
-            throw Error(
-                "extradeep-perf: streaming and materialising ingest "
-                "disagree on kept runs/configs");
-        }
         add_record(records, "ingest_stream", "mb_per_sec",
-                   corpus.total_mb / stream.seconds);
+                   corpus.total_mb / ingest.seconds);
         add_record(records, "ingest_stream", "rss_delta_mb",
-                   stream.rss_delta_mb);
-        add_record(records, "ingest_materialize", "mb_per_sec",
-                   corpus.total_mb / mat.seconds);
-        add_record(records, "ingest_materialize", "rss_delta_mb",
-                   mat.rss_delta_mb);
+                   ingest.rss_delta_mb);
 
-        // --- fitter: hypotheses/sec per backend x thread count.
-        const simd::Backend saved = simd::active_backend();
+        // --- fitter: hypotheses/sec per thread count.
         std::vector<int> fit_threads = {1};
         if (threads != 1) {
             fit_threads.push_back(threads);
         }
-        for (const simd::Backend backend :
-             {simd::Backend::Scalar, simd::Backend::Vector}) {
-            for (const int t : fit_threads) {
-                const FitterTiming ft = time_fitter(backend, t, fit_budget);
-                const std::string name = std::string("fitter_") +
-                                         simd::backend_name(backend) + "_t" +
-                                         std::to_string(t);
-                add_record(records, name, "hypotheses_per_sec",
-                           ft.hypotheses_per_sec);
-                if (backend == simd::Backend::Scalar && t == 1) {
-                    add_record(records, name, "hypotheses_per_fit",
-                               static_cast<double>(ft.hypotheses_per_fit));
-                }
+        for (const int t : fit_threads) {
+            const FitterTiming ft = time_fitter(t, fit_budget);
+            const std::string name = "fitter_t" + std::to_string(t);
+            add_record(records, name, "hypotheses_per_sec",
+                       ft.hypotheses_per_sec);
+            if (t == 1) {
+                add_record(records, name, "hypotheses_per_fit",
+                           static_cast<double>(ft.hypotheses_per_fit));
             }
         }
-        simd::set_backend(saved);
 
         Table table({"case", "metric", "value"});
         for (const auto& r : records) {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace extradeep::linalg {
 
@@ -96,6 +95,30 @@ std::vector<double> cholesky_solve(const Matrix& l, const std::vector<double>& b
     return x;
 }
 
+/// A^T A, accumulated as row outer products in row order with the classic
+/// zero-skip (rows whose i-th entry is exactly 0.0 add nothing to row i):
+/// per output element this is the same addition sequence as the column loop
+/// out(i, j) = sum_r a(r, i) * a(r, j), so the covariance is bit-identical
+/// to it while the inner loop runs along contiguous rows.
+Matrix normal_equations(const Matrix& a) {
+    const std::size_t n = a.cols();
+    Matrix out(n, n);
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+        const double* row = a.row(r);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double v = row[i];
+            if (v == 0.0) {
+                continue;
+            }
+            double* out_i = out.row(i);
+            for (std::size_t j = 0; j < n; ++j) {
+                out_i[j] += v * row[j];
+            }
+        }
+    }
+    return out;
+}
+
 }  // namespace
 
 std::vector<double> solve_spd(const Matrix& s, const std::vector<double>& b) {
@@ -171,18 +194,26 @@ LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) 
         }
         // Apply H = I - 2 v v^T / (v^T v) to the trailing block and to rhs.
         // Loop-interchanged so the inner traversal runs along contiguous row
-        // segments (simd::axpy): dots[c - k] accumulates v^T R(:, c) in the
-        // same ascending-i order as a per-column loop, so the result is
+        // segments: dots[c - k] accumulates v^T R(:, c) in the same
+        // ascending-i order as a per-column loop, so the result is
         // bit-identical to the column-at-a-time formulation.
         dots.assign(n - k, 0.0);
         for (std::size_t i = k; i < m; ++i) {
-            simd::axpy(dots.data(), v[i - k], r.row(i) + k, n - k);
+            const double vi = v[i - k];
+            const double* ri = r.row(i) + k;
+            for (std::size_t j = 0; j < n - k; ++j) {
+                dots[j] += vi * ri[j];
+            }
         }
         for (std::size_t j = 0; j < n - k; ++j) {
             dots[j] = 2.0 * dots[j] / vnorm2;
         }
         for (std::size_t i = k; i < m; ++i) {
-            simd::axpy(r.row(i) + k, -v[i - k], dots.data(), n - k);
+            const double vi = -v[i - k];
+            double* ri = r.row(i) + k;
+            for (std::size_t j = 0; j < n - k; ++j) {
+                ri[j] += vi * dots[j];
+            }
         }
         {
             double dot = 0.0;
@@ -234,10 +265,8 @@ LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) 
     // Unscaled covariance (A^T A)^{-1}; skip when rank deficient (the
     // hypothesis will be rejected by the model selector anyway).
     if (!out.rank_deficient) {
-        Matrix ata(n, n);
-        simd::normal_equations(a.data(), m, n, ata.data());
         try {
-            out.covariance_unscaled = invert_spd(ata);
+            out.covariance_unscaled = invert_spd(normal_equations(a));
         } catch (const NumericalError&) {
             out.rank_deficient = true;
         }

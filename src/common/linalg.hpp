@@ -19,9 +19,7 @@ public:
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
-    /// Raw row-major storage / row pointers, for the simd kernels.
-    double* data() { return data_.data(); }
-    const double* data() const { return data_.data(); }
+    /// Pointer to the contiguous storage of row r.
     double* row(std::size_t r) { return data_.data() + r * cols_; }
     const double* row(std::size_t r) const { return data_.data() + r * cols_; }
 

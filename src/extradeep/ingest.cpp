@@ -1,7 +1,6 @@
 #include "extradeep/ingest.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <fstream>
 #include <map>
@@ -19,9 +18,6 @@
 namespace extradeep {
 
 namespace {
-
-std::atomic<std::uint64_t> g_runs_materialized{0};
-std::atomic<std::uint64_t> g_files_streamed{0};
 
 /// Everything the streaming ingest retains per run: identity, per-run
 /// validation verdict, and the fully reduced per-kernel aggregate. The
@@ -46,8 +42,8 @@ struct StreamedFile {
 /// one rank block (the current rank's marks + events) at a time — event
 /// assignment to step windows sorts the whole rank's events by start time,
 /// so a rank must be complete before it can be reduced bit-identically to
-/// the materialising path. Throws like read_edp_file in strict mode (and
-/// on unopenable files in any mode).
+/// aggregate_runs over the parsed run. Throws like read_edp_file in strict
+/// mode (and on unopenable files in any mode).
 StreamedFile stream_digest_file(const std::string& path,
                                 const IngestOptions& options) {
     const obs::Span span{"ingest.stream_edp"};
@@ -121,8 +117,8 @@ StreamedFile stream_digest_file(const std::string& path,
     if (!out.ok) {
         return out;  // quarantined by the caller; aggregate unused
     }
-    // Validation sees exactly what the materialising path's validate_run
-    // sees: the parser guarantees event metric sanity, and segment_steps /
+    // Validation sees exactly what validate_run on the parsed run would
+    // see: the parser guarantees event metric sanity, and segment_steps /
     // step monotonicity depend only on the marks, so a marks-only skeleton
     // yields the identical verdict and diagnostics.
     out.run.verdict = aggregation::validate_run(skeleton,
@@ -137,18 +133,17 @@ StreamedFile stream_digest_file(const std::string& path,
 }
 
 /// Groups runs by their full parameter map and orders configurations by the
-/// primary parameter — identical logic for ProfiledRun and StreamedRun, so
-/// both ingest paths assemble configurations in the same order.
-template <typename Run>
-std::vector<std::vector<Run>> group_by_configuration(
-    std::map<std::map<std::string, double>, std::vector<Run>>&& groups,
+/// primary parameter, repetitions by repetition index.
+std::vector<std::vector<StreamedRun>> group_by_configuration(
+    std::map<std::map<std::string, double>, std::vector<StreamedRun>>&&
+        groups,
     const std::string& primary_parameter) {
-    std::vector<std::vector<Run>> configs;
+    std::vector<std::vector<StreamedRun>> configs;
     configs.reserve(groups.size());
     for (auto& [params, runs] : groups) {
         // Repetition order on disk is arbitrary; sort for reproducibility.
         std::stable_sort(runs.begin(), runs.end(),
-                         [](const Run& a, const Run& b) {
+                         [](const StreamedRun& a, const StreamedRun& b) {
                              return a.repetition < b.repetition;
                          });
         configs.push_back(std::move(runs));
@@ -173,10 +168,11 @@ void record_ingest_metrics(const IngestResult& result) {
     }
 }
 
-/// Cross-run validation + per-configuration aggregation over streamed run
-/// summaries: the streaming twin of ingest_runs, sharing
-/// validate_experiment_facts and the ConfigAggregator core so diagnostics
-/// and aggregates are bit-identical.
+/// Cross-run validation + per-configuration aggregation over reduced run
+/// summaries, the assembly stage both public entry points share. It uses
+/// validate_experiment_facts and the ConfigAggregator core, so diagnostics
+/// and aggregates are bit-identical to validate_experiment + aggregate_runs
+/// over the full runs.
 IngestResult ingest_streamed_runs(std::span<std::vector<StreamedRun>> configs,
                                   const IngestOptions& options) {
     const obs::Span ingest_span{"ingest.runs"};
@@ -270,8 +266,56 @@ void for_each_submitted(std::size_t count, int num_threads,
     done.wait(lock, [&] { return remaining == 0; });
 }
 
-IngestResult ingest_edp_files_streaming(std::span<const std::string> paths,
-                                        const IngestOptions& options) {
+}  // namespace
+
+std::string IngestResult::summary() const {
+    std::ostringstream os;
+    os << "kept " << runs_kept << "/" << runs_total << " runs, "
+       << configs_kept << "/" << configs_total << " configurations";
+    if (!diagnostics.empty()) {
+        os << "; " << diagnostics.summary();
+    }
+    return os.str();
+}
+
+IngestResult ingest_runs(
+    std::span<const std::vector<profiling::ProfiledRun>> configs,
+    const IngestOptions& options) {
+    // Reduce each run up front (validate_run + per-rank fold), so no copies
+    // of the kept runs are made.
+    std::vector<std::vector<StreamedRun>> summaries(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        summaries[c].reserve(configs[c].size());
+        for (const auto& run : configs[c]) {
+            StreamedRun s;
+            s.params = run.params;
+            s.repetition = run.repetition;
+            s.n_ranks = run.ranks.size();
+            s.verdict = aggregation::validate_run(run, options.validation.run);
+            if (s.verdict.keep) {
+                try {
+                    aggregation::RunAggregator run_agg;
+                    for (const auto& rank_trace : run.ranks) {
+                        run_agg.add_rank(
+                            rank_trace,
+                            options.aggregation.discard_warmup_epochs);
+                    }
+                    s.aggregate = run_agg.finish();
+                } catch (const ParseError&) {
+                    // validate_run keeps only runs whose marks segment, so
+                    // this is unreachable; the empty aggregate would surface
+                    // as a dropped configuration.
+                }
+            }
+            summaries[c].push_back(std::move(s));
+        }
+    }
+    return ingest_streamed_runs(summaries, options);
+}
+
+IngestResult ingest_edp_files(std::span<const std::string> paths,
+                              const IngestOptions& options) {
+    const obs::Span files_span{"ingest.edp_files"};
     struct Slot {
         StreamedFile file;
         std::exception_ptr error;
@@ -286,7 +330,8 @@ IngestResult ingest_edp_files_streaming(std::span<const std::string> paths,
     });
 
     // Merge in path order: diagnostics, drop decisions, and (in strict
-    // mode) the first failure are deterministic regardless of num_threads.
+    // mode) the first failure - the lowest path index - are deterministic
+    // regardless of num_threads.
     DiagnosticLog parse_log;
     std::size_t dropped_files = 0;
     std::map<std::map<std::string, double>, std::vector<StreamedRun>> groups;
@@ -305,7 +350,6 @@ IngestResult ingest_edp_files_streaming(std::span<const std::string> paths,
                 continue;
             }
         }
-        g_files_streamed.fetch_add(1, std::memory_order_relaxed);
         for (const auto& d : slot.file.parse_log.entries()) {
             Diagnostic scoped = d;
             scoped.reason = path + ": " + d.reason;
@@ -333,191 +377,6 @@ IngestResult ingest_edp_files_streaming(std::span<const std::string> paths,
         group_by_configuration(std::move(groups), options.primary_parameter);
 
     IngestResult result = ingest_streamed_runs(configs, options);
-    result.runs_total += dropped_files;
-    // Parse diagnostics come first: they precede validation logically.
-    DiagnosticLog merged(DiagnosticLog::kDefaultCapacity);
-    merged.merge(parse_log);
-    merged.merge(result.diagnostics);
-    result.diagnostics = std::move(merged);
-    return result;
-}
-
-}  // namespace
-
-std::string IngestResult::summary() const {
-    std::ostringstream os;
-    os << "kept " << runs_kept << "/" << runs_total << " runs, "
-       << configs_kept << "/" << configs_total << " configurations";
-    if (!diagnostics.empty()) {
-        os << "; " << diagnostics.summary();
-    }
-    return os.str();
-}
-
-IngestCounters ingest_counters() {
-    IngestCounters out;
-    out.runs_materialized = g_runs_materialized.load(std::memory_order_relaxed);
-    out.files_streamed = g_files_streamed.load(std::memory_order_relaxed);
-    return out;
-}
-
-IngestResult ingest_runs(
-    std::span<const std::vector<profiling::ProfiledRun>> configs,
-    const IngestOptions& options) {
-    if (options.streaming) {
-        // Reduce each run up front (validate_run + per-rank fold) and share
-        // the streamed assembly path: no kept-run copies are made.
-        std::vector<std::vector<StreamedRun>> summaries(configs.size());
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            summaries[c].reserve(configs[c].size());
-            for (const auto& run : configs[c]) {
-                StreamedRun s;
-                s.params = run.params;
-                s.repetition = run.repetition;
-                s.n_ranks = run.ranks.size();
-                s.verdict =
-                    aggregation::validate_run(run, options.validation.run);
-                if (s.verdict.keep) {
-                    try {
-                        aggregation::RunAggregator run_agg;
-                        for (const auto& rank_trace : run.ranks) {
-                            run_agg.add_rank(
-                                rank_trace,
-                                options.aggregation.discard_warmup_epochs);
-                        }
-                        s.aggregate = run_agg.finish();
-                    } catch (const ParseError&) {
-                        // validate_run keeps only runs whose marks segment,
-                        // so this is unreachable; the empty aggregate would
-                        // surface as a dropped configuration.
-                    }
-                }
-                summaries[c].push_back(std::move(s));
-            }
-        }
-        return ingest_streamed_runs(summaries, options);
-    }
-
-    const obs::Span ingest_span{"ingest.runs"};
-    IngestResult result;
-    result.data = aggregation::ExperimentData(options.primary_parameter);
-    result.configs_total = configs.size();
-    for (const auto& runs : configs) {
-        result.runs_total += runs.size();
-    }
-
-    aggregation::ExperimentVerdict verdict = [&] {
-        const obs::Span validate_span{"ingest.validate_experiment"};
-        return aggregation::validate_experiment(configs, options.validation);
-    }();
-    result.diagnostics.merge(verdict.diagnostics);
-
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        if (!verdict.keep_config[c]) {
-            continue;
-        }
-        std::vector<profiling::ProfiledRun> kept;
-        kept.reserve(configs[c].size());
-        for (std::size_t r = 0; r < configs[c].size(); ++r) {
-            if (verdict.keep_run[c][r]) {
-                kept.push_back(configs[c][r]);
-            }
-        }
-        // Validation guarantees aggregate_runs preconditions, but keep the
-        // drop-not-throw contract even if an invariant slips through.
-        try {
-            const obs::Span aggregate_span{"ingest.aggregate_config"};
-            result.data.add(
-                aggregation::aggregate_runs(kept, options.aggregation));
-        } catch (const Error& e) {
-            result.diagnostics.add(
-                Severity::Error,
-                "configuration " + std::to_string(c) + " dropped: " + e.what());
-            continue;
-        }
-        result.configs_kept += 1;
-        result.runs_kept += kept.size();
-    }
-    record_ingest_metrics(result);
-    return result;
-}
-
-IngestResult ingest_edp_files(std::span<const std::string> paths,
-                              const IngestOptions& options) {
-    const obs::Span files_span{"ingest.edp_files"};
-    if (options.streaming) {
-        return ingest_edp_files_streaming(paths, options);
-    }
-    profiling::EdpReadOptions read_options;
-    read_options.mode = options.mode;
-
-    struct Slot {
-        profiling::EdpReadResult parsed;
-        std::exception_ptr error;
-    };
-    std::vector<Slot> slots(paths.size());
-    for_each_submitted(paths.size(), options.num_threads, [&](std::size_t i) {
-        try {
-            const obs::Span read_span{"ingest.read_edp"};
-            slots[i].parsed = profiling::read_edp_file(paths[i], read_options);
-        } catch (...) {
-            slots[i].error = std::current_exception();
-        }
-    });
-
-    DiagnosticLog parse_log;
-    std::size_t dropped_files = 0;
-    // Group runs by their full parameter map; map ordering makes the
-    // configuration order deterministic regardless of path order.
-    std::map<std::map<std::string, double>,
-             std::vector<profiling::ProfiledRun>>
-        groups;
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-        const std::string& path = paths[i];
-        Slot& slot = slots[i];
-        if (slot.error) {
-            // Strict mode rethrows: fail fast is the contract there (the
-            // lowest path index wins, independent of num_threads).
-            if (options.mode == profiling::ParseMode::Strict) {
-                std::rethrow_exception(slot.error);
-            }
-            try {
-                std::rethrow_exception(slot.error);
-            } catch (const Error& e) {
-                parse_log.add(Severity::Error, path + ": " + e.what());
-                ++dropped_files;
-                continue;
-            }
-        }
-        g_runs_materialized.fetch_add(1, std::memory_order_relaxed);
-        profiling::EdpReadResult& parsed = slot.parsed;
-        for (const auto& d : parsed.diagnostics.entries()) {
-            Diagnostic scoped = d;
-            scoped.reason = path + ": " + d.reason;
-            parse_log.add(std::move(scoped));
-        }
-        if (!parsed.ok()) {
-            parse_log.add(Severity::Error,
-                          path + ": file quarantined (" +
-                              parsed.diagnostics.summary() + ")");
-            ++dropped_files;
-            continue;
-        }
-        if (parsed.run.params.find(options.primary_parameter) ==
-            parsed.run.params.end()) {
-            parse_log.add(Severity::Error,
-                          path + ": run lacks primary parameter '" +
-                              options.primary_parameter + "'");
-            ++dropped_files;
-            continue;
-        }
-        groups[parsed.run.params].push_back(std::move(parsed.run));
-    }
-
-    std::vector<std::vector<profiling::ProfiledRun>> configs =
-        group_by_configuration(std::move(groups), options.primary_parameter);
-
-    IngestResult result = ingest_runs(configs, options);
     result.runs_total += dropped_files;
     // Parse diagnostics come first: they precede validation logically.
     DiagnosticLog merged(DiagnosticLog::kDefaultCapacity);

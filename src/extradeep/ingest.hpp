@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -21,7 +20,12 @@ namespace extradeep {
 /// The pipeline is: tolerant parse (collect diagnostics, skip corrupt
 /// records) -> validate_run / validate_experiment (keep/drop verdicts) ->
 /// aggregate only the surviving repetitions -> ExperimentData over the
-/// surviving configurations. The paper's "kernel present in >= 5
+/// surviving configurations. Files are streamed: each run is reduced to its
+/// per-kernel aggregate one rank block at a time while it is read, so peak
+/// memory is bounded by the largest rank block, not the input size
+/// (DESIGN.md §13). Results are bit-identical to read_edp_file +
+/// validate_experiment + aggregate_runs over the parsed runs (asserted by
+/// tests/test_ingest_stream.cpp). The paper's "kernel present in >= 5
 /// configurations" filter (ExperimentData::modelable_kernels) therefore
 /// operates on surviving data only, exactly as required.
 
@@ -34,19 +38,11 @@ struct IngestOptions {
     aggregation::AggregationOptions aggregation;
     /// Primary execution parameter configurations are keyed/ordered by.
     std::string primary_parameter = "x1";
-    /// Out-of-core mode. ingest_edp_files folds each file's records through
-    /// EdpStreamReader + the incremental aggregation cores instead of
-    /// materialising ProfiledRuns, so peak memory is bounded by the largest
-    /// single rank block rather than the input size (DESIGN.md §13).
-    /// ingest_runs skips its per-configuration kept-run copies. Results —
-    /// aggregates, diagnostics, counts — are bit-identical to the
-    /// materialising path (asserted by tests/test_ingest_stream.cpp).
-    bool streaming = false;
     /// Threads for the per-file stage of ingest_edp_files (parse/digest is
     /// embarrassingly parallel across files; grouping and aggregation stay
     /// sequential and deterministic). 1 = sequential; 0 or negative = use
-    /// the hardware concurrency. In streaming mode, peak memory scales with
-    /// the number of files in flight, i.e. with this value.
+    /// the hardware concurrency. Peak memory scales with the number of
+    /// files in flight, i.e. with this value, times one rank block.
     int num_threads = 1;
 };
 
@@ -70,7 +66,8 @@ struct IngestResult {
 };
 
 /// Ingests pre-grouped runs: one inner vector per measurement point (the
-/// repetitions of that point). Repetitions and configurations failing
+/// repetitions of that point). Each run is reduced up front, so no copies
+/// of the kept runs are made. Repetitions and configurations failing
 /// validation are dropped with diagnostics; configurations whose
 /// aggregation or registration fails (e.g. duplicate primary-parameter
 /// value, missing primary parameter) are likewise dropped, never thrown.
@@ -78,26 +75,14 @@ IngestResult ingest_runs(
     std::span<const std::vector<profiling::ProfiledRun>> configs,
     const IngestOptions& options = {});
 
-/// Parses every file (tolerantly by default), groups the runs by their full
+/// Streams every file (tolerantly by default), groups the runs by their full
 /// parameter map into configurations ordered by the primary parameter, and
-/// delegates to ingest_runs. Unreadable or structurally broken files are
-/// dropped with Error diagnostics (in Tolerant mode; Strict mode throws —
+/// validates and aggregates them like ingest_runs. Unreadable or
+/// structurally broken files are dropped with Error diagnostics (in
+/// Tolerant mode; Strict mode throws —
 /// with num_threads > 1, the exception of the lowest path index, keeping
 /// error reporting deterministic across thread counts).
 IngestResult ingest_edp_files(std::span<const std::string> paths,
                               const IngestOptions& options = {});
-
-/// Process-wide monotonic instrumentation counters for the two file-ingest
-/// paths, so tests can prove which path ran (the memory-ceiling regression
-/// test asserts the materialising path was *not* taken). Snapshot before
-/// and after an ingest and compare deltas.
-struct IngestCounters {
-    /// Files fully parsed into an in-memory ProfiledRun by the
-    /// materialising ingest_edp_files path.
-    std::uint64_t runs_materialized = 0;
-    /// Files digested record-at-a-time by the streaming path.
-    std::uint64_t files_streamed = 0;
-};
-IngestCounters ingest_counters();
 
 }  // namespace extradeep

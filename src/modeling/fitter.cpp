@@ -10,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "common/parallel_for.hpp"
-#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -101,7 +100,6 @@ struct FitScratch {
     linalg::Matrix basis;
     linalg::Matrix a;
     std::vector<double> b;
-    std::vector<double> term_col;
     std::vector<double> predicted;
     std::vector<double> cv_pred;
 };
@@ -123,18 +121,17 @@ void basis_matrix(const std::vector<Term>& terms,
     for (std::size_t r = 0; r < n; ++r) {
         b(r, 0) = 1.0;
     }
-    // The term column is built in a contiguous buffer (simd::mul_inplace
-    // over the cached factor columns, in Term::basis factor order — the same
-    // per-element multiply chain as before) and then scattered into the
-    // strided basis column.
+    // Each term column is the product of its cached factor columns, taken
+    // in Term::basis factor order (the same per-element multiply chain).
     for (std::size_t t = 0; t < terms.size(); ++t) {
-        scratch.term_col.assign(n, 1.0);
+        for (std::size_t r = 0; r < n; ++r) {
+            b(r, t + 1) = 1.0;
+        }
         for (const auto& f : terms[t].factors) {
             const std::vector<double>& col = cache.column(f);
-            simd::mul_inplace(scratch.term_col.data(), col.data(), n);
-        }
-        for (std::size_t r = 0; r < n; ++r) {
-            b(r, t + 1) = scratch.term_col[r];
+            for (std::size_t r = 0; r < n; ++r) {
+                b(r, t + 1) *= col[r];
+            }
         }
     }
 }

@@ -16,8 +16,6 @@
 #include "common/error.hpp"
 #include "common/parallel_for.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
-#include "eval/oracle.hpp"
 #include "modeling/fitter.hpp"
 #include "modeling/model.hpp"
 
@@ -299,122 +297,4 @@ TEST(ParallelFitter, HardwareThreadCountAlsoIdentical) {
     const PerformanceModel serial = generator_with_threads(1, 1).fit(xs, ys);
     const PerformanceModel parallel = generator_with_threads(0, 1).fit(xs, ys);
     expect_identical(serial, parallel);
-}
-
-// ---------------------------------------------------------------------------
-// simd backend equivalence: the vector kernels only widen elementwise
-// operations and share the scalar path's reduction trees, so a fit under the
-// Vector backend must be bit-identical to the Scalar reference — at every
-// thread count, including the stored covariance that feeds
-// predict_interval.
-
-namespace {
-
-/// RAII backend override, so a failing assertion cannot leak the scalar
-/// backend into later tests.
-class ScopedBackend {
-public:
-    explicit ScopedBackend(simd::Backend b) : saved_(simd::active_backend()) {
-        simd::set_backend(b);
-    }
-    ~ScopedBackend() { simd::set_backend(saved_); }
-
-private:
-    simd::Backend saved_;
-};
-
-/// Fits the same data under both backends at `threads` and asserts the
-/// models — including prediction intervals at interpolated and extrapolated
-/// points — are bit-identical.
-void expect_backend_identical(const std::vector<std::vector<double>>& pts,
-                              const std::vector<double>& ys,
-                              std::vector<std::string> names, int threads,
-                              int max_terms = 2) {
-    FitOptions opts;
-    opts.space.max_terms = max_terms;
-    opts.num_threads = threads;
-    const ModelGenerator gen(opts);
-    PerformanceModel scalar = [&] {
-        const ScopedBackend b(simd::Backend::Scalar);
-        return gen.fit(pts, ys, names);
-    }();
-    PerformanceModel vector = [&] {
-        const ScopedBackend b(simd::Backend::Vector);
-        return gen.fit(pts, ys, names);
-    }();
-    expect_identical(scalar, vector);
-    // Prediction intervals exercise the covariance path (the normal
-    // equations), which the model comparison above does not cover.
-    for (const double scale : {1.0, 2.0, 8.0}) {
-        std::vector<double> probe = pts.back();
-        for (double& v : probe) {
-            v *= scale;
-        }
-        const auto a = scalar.predict_interval(probe);
-        const auto b = vector.predict_interval(probe);
-        EXPECT_EQ(a.prediction, b.prediction) << "scale " << scale;
-        EXPECT_EQ(a.lower, b.lower) << "scale " << scale;
-        EXPECT_EQ(a.upper, b.upper) << "scale " << scale;
-    }
-}
-
-}  // namespace
-
-TEST(SimdBackend, ScalarVsVectorIdenticalOnOracleCases) {
-    for (const auto& oracle : eval::default_oracle_cases()) {
-        std::vector<double> ys;
-        ys.reserve(oracle.points.size());
-        for (const auto& p : oracle.points) {
-            ys.push_back(oracle.truth_value(p));
-        }
-        for (const int threads : {1, 2, 4}) {
-            SCOPED_TRACE(oracle.name + " threads " + std::to_string(threads));
-            expect_backend_identical(oracle.points, ys,
-                                     oracle.truth.param_names(), threads);
-        }
-    }
-}
-
-TEST(SimdBackend, ScalarVsVectorIdenticalOnRandomSpaces) {
-    // Randomised PMNF data: noisy samples of random-growth functions over
-    // 1-D and 2-D grids, single- and two-term search spaces.
-    for (const std::uint64_t seed : {11u, 23u, 57u}) {
-        Rng rng(seed);
-        std::vector<std::vector<double>> pts;
-        std::vector<double> ys;
-        const double slope = 0.5 + 5.0 * rng.uniform01();
-        const double curve = rng.uniform01();
-        for (const double x : {2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0}) {
-            pts.push_back({x});
-            ys.push_back((3.0 + slope * x + curve * x * std::log2(x)) *
-                         rng.lognormal_factor(0.04));
-        }
-        for (const int threads : {1, 2, 4}) {
-            for (const int max_terms : {1, 2}) {
-                SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
-                             std::to_string(threads) + " terms " +
-                             std::to_string(max_terms));
-                expect_backend_identical(pts, ys, {"x1"}, threads, max_terms);
-            }
-        }
-    }
-    for (const std::uint64_t seed : {5u, 91u}) {
-        Rng rng(seed);
-        std::vector<std::vector<double>> pts;
-        std::vector<double> ys;
-        const double a = 1.0 + 3.0 * rng.uniform01();
-        const double b = 1.0 + 2.0 * rng.uniform01();
-        for (const double x : {2.0, 4.0, 8.0, 16.0, 32.0}) {
-            for (const double y : {2.0, 4.0, 8.0, 16.0, 32.0}) {
-                pts.push_back({x, y});
-                ys.push_back((4.0 + a * x + b * std::log2(y)) *
-                             rng.lognormal_factor(0.03));
-            }
-        }
-        for (const int threads : {1, 2, 4}) {
-            SCOPED_TRACE("2d seed " + std::to_string(seed) + " threads " +
-                         std::to_string(threads));
-            expect_backend_identical(pts, ys, {"x1", "x2"}, threads);
-        }
-    }
 }

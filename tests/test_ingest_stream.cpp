@@ -1,26 +1,32 @@
-// Differential harness for out-of-core ingestion: streaming ingest
-// (IngestOptions::streaming) must be *bit-identical* to the materialising
-// path — same aggregates down to the last mantissa bit, same diagnostic
-// sequence, same counts — on clean corpora, on every fault-injection
-// mutator at several seeds, in strict and tolerant mode, at every thread
-// count. Plus the memory-ceiling regression test: streaming a corpus of
-// hundreds of MB must neither materialise any run (proven via
-// ingest_counters) nor grow peak RSS by more than a fixed budget.
+// Differential harness for ingestion: ingest_edp_files streams each file
+// and reduces it one rank block at a time, and ingest_runs reduces each run
+// up front. Both must be *bit-identical* to a materialising reference built
+// in this file from the library's own stages (read_edp_file in path order,
+// validate_experiment, aggregate_runs) — same aggregates down to the last
+// mantissa bit, same diagnostic sequence, same counts — on clean corpora,
+// on every fault-injection mutator at several seeds, in strict and tolerant
+// mode, at every thread count. Plus the memory-ceiling regression test:
+// ingesting a corpus of hundreds of MB must not grow peak RSS by more than
+// a fixed budget.
 
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <fstream>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "aggregation/aggregate.hpp"
+#include "aggregation/validate.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "extradeep/ingest.hpp"
@@ -34,8 +40,7 @@ namespace {
 
 // The sanitizers' shadow memory and quarantines make RSS accounting
 // meaningless and everything ~10x slower, so the ceiling test shrinks its
-// corpus and skips the RSS assertion under ASan (the which-path-ran proof
-// via ingest_counters still runs).
+// corpus and skips the RSS assertion under ASan.
 #if defined(__SANITIZE_ADDRESS__)
 constexpr bool kSanitized = true;
 #elif defined(__has_feature)
@@ -177,12 +182,124 @@ void expect_results_identical(const IngestResult& a, const IngestResult& b) {
     }
 }
 
-IngestResult ingest(const std::vector<std::string>& paths, bool streaming,
-                    int threads = 1,
+/// Materialising reference for ingest_runs: validate_experiment over the
+/// full runs, then aggregate_runs over each kept configuration's kept
+/// repetitions.
+IngestResult reference_ingest_runs(
+    std::span<const std::vector<ProfiledRun>> configs,
+    const IngestOptions& options) {
+    IngestResult result;
+    result.data = aggregation::ExperimentData(options.primary_parameter);
+    result.configs_total = configs.size();
+    for (const auto& runs : configs) {
+        result.runs_total += runs.size();
+    }
+    const aggregation::ExperimentVerdict verdict =
+        aggregation::validate_experiment(configs, options.validation);
+    result.diagnostics.merge(verdict.diagnostics);
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        if (!verdict.keep_config[c]) {
+            continue;
+        }
+        std::vector<ProfiledRun> kept;
+        for (std::size_t r = 0; r < configs[c].size(); ++r) {
+            if (verdict.keep_run[c][r]) {
+                kept.push_back(configs[c][r]);
+            }
+        }
+        try {
+            result.data.add(
+                aggregation::aggregate_runs(kept, options.aggregation));
+        } catch (const Error& e) {
+            result.diagnostics.add(
+                Severity::Error,
+                "configuration " + std::to_string(c) + " dropped: " + e.what());
+            continue;
+        }
+        result.configs_kept += 1;
+        result.runs_kept += kept.size();
+    }
+    return result;
+}
+
+/// Materialising reference for ingest_edp_files: read_edp_file in path
+/// order (strict mode rethrows the first failure), path-scoped parse
+/// diagnostics, quarantine of broken files, grouping by parameter map with
+/// configurations ordered by x1 and repetitions by index, then
+/// reference_ingest_runs.
+IngestResult reference_ingest(const std::vector<std::string>& paths,
+                              ParseMode mode = ParseMode::Tolerant) {
+    IngestOptions options;
+    options.mode = mode;
+    profiling::EdpReadOptions read_options;
+    read_options.mode = mode;
+
+    DiagnosticLog parse_log;
+    std::size_t dropped_files = 0;
+    std::map<std::map<std::string, double>, std::vector<ProfiledRun>> groups;
+    for (const std::string& path : paths) {
+        profiling::EdpReadResult parsed;
+        try {
+            parsed = profiling::read_edp_file(path, read_options);
+        } catch (const Error& e) {
+            if (mode == ParseMode::Strict) {
+                throw;
+            }
+            parse_log.add(Severity::Error, path + ": " + e.what());
+            ++dropped_files;
+            continue;
+        }
+        for (const auto& d : parsed.diagnostics.entries()) {
+            Diagnostic scoped = d;
+            scoped.reason = path + ": " + d.reason;
+            parse_log.add(std::move(scoped));
+        }
+        if (!parsed.ok()) {
+            parse_log.add(Severity::Error,
+                          path + ": file quarantined (" +
+                              parsed.diagnostics.summary() + ")");
+            ++dropped_files;
+            continue;
+        }
+        if (parsed.run.params.find(options.primary_parameter) ==
+            parsed.run.params.end()) {
+            parse_log.add(Severity::Error,
+                          path + ": run lacks primary parameter '" +
+                              options.primary_parameter + "'");
+            ++dropped_files;
+            continue;
+        }
+        groups[parsed.run.params].push_back(std::move(parsed.run));
+    }
+
+    std::vector<std::vector<ProfiledRun>> configs;
+    for (auto& [params, runs] : groups) {
+        std::stable_sort(runs.begin(), runs.end(),
+                         [](const ProfiledRun& a, const ProfiledRun& b) {
+                             return a.repetition < b.repetition;
+                         });
+        configs.push_back(std::move(runs));
+    }
+    std::stable_sort(configs.begin(), configs.end(),
+                     [&](const auto& a, const auto& b) {
+                         return a.front().params.at(
+                                    options.primary_parameter) <
+                                b.front().params.at(options.primary_parameter);
+                     });
+
+    IngestResult result = reference_ingest_runs(configs, options);
+    result.runs_total += dropped_files;
+    DiagnosticLog merged(DiagnosticLog::kDefaultCapacity);
+    merged.merge(parse_log);
+    merged.merge(result.diagnostics);
+    result.diagnostics = std::move(merged);
+    return result;
+}
+
+IngestResult ingest(const std::vector<std::string>& paths, int threads = 1,
                     ParseMode mode = ParseMode::Tolerant) {
     IngestOptions options;
     options.mode = mode;
-    options.streaming = streaming;
     options.num_threads = threads;
     return ingest_edp_files(paths, options);
 }
@@ -198,10 +315,9 @@ double peak_rss_mb() {
 TEST(StreamDifferential, CleanMultiConfigCorpus) {
     const TempDir dir;
     const auto paths = write_corpus(dir, 42, 3, 3);
-    const IngestResult mat = ingest(paths, false);
-    const IngestResult stream = ingest(paths, true);
-    EXPECT_GT(mat.configs_kept, 0u);
-    expect_results_identical(mat, stream);
+    const IngestResult reference = reference_ingest(paths);
+    EXPECT_GT(reference.configs_kept, 0u);
+    expect_results_identical(reference, ingest(paths));
 }
 
 TEST(StreamDifferential, EveryMutatorEverySeed) {
@@ -222,17 +338,15 @@ TEST(StreamDifferential, EveryMutatorEverySeed) {
             in.close();
             write_text(paths[victim], mutate(buf.str(), rng));
 
-            const IngestResult mat = ingest(paths, false);
-            const IngestResult stream = ingest(paths, true);
-            expect_results_identical(mat, stream);
+            expect_results_identical(reference_ingest(paths), ingest(paths));
         }
     }
 }
 
 TEST(StreamDifferential, StackedRandomMutations) {
     // Multiple mutators stacked on multiple files: deep corruption, where
-    // tolerant recovery produces long diagnostic transcripts. The streaming
-    // transcript must match entry for entry.
+    // tolerant recovery produces long diagnostic transcripts. The streamed
+    // transcript must match the reference entry for entry.
     for (const std::uint64_t seed : {10u, 20u, 30u}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         const TempDir dir;
@@ -246,9 +360,7 @@ TEST(StreamDifferential, StackedRandomMutations) {
             write_text(paths[i], edpfuzz::apply_random_mutations(
                                      buf.str(), rng, 3));
         }
-        const IngestResult mat = ingest(paths, false);
-        const IngestResult stream = ingest(paths, true);
-        expect_results_identical(mat, stream);
+        expect_results_identical(reference_ingest(paths), ingest(paths));
     }
 }
 
@@ -265,26 +377,26 @@ TEST(StreamDifferential, StrictModeThrowsIdentically) {
             in.close();
             write_text(paths[0], mutate(buf.str(), rng));
 
-            std::string mat_error = "(no throw)";
+            std::string reference_error = "(no throw)";
             std::string stream_error = "(no throw)";
             try {
-                ingest(paths, false, 1, ParseMode::Strict);
+                reference_ingest(paths, ParseMode::Strict);
             } catch (const Error& e) {
-                mat_error = e.what();
+                reference_error = e.what();
             }
             try {
-                ingest(paths, true, 1, ParseMode::Strict);
+                ingest(paths, 1, ParseMode::Strict);
             } catch (const Error& e) {
                 stream_error = e.what();
             }
-            EXPECT_EQ(mat_error, stream_error);
+            EXPECT_EQ(reference_error, stream_error);
         }
     }
 }
 
 TEST(StreamDifferential, ThreadCountsAllBitIdentical) {
-    // Both paths, three thread counts, one mutated file: all six results
-    // must equal the single-threaded materialising reference.
+    // Three thread counts, one mutated file: every result must equal the
+    // materialising reference.
     const TempDir dir;
     auto paths = write_corpus(dir, 77, 3, 2);
     Rng rng(99);
@@ -294,22 +406,17 @@ TEST(StreamDifferential, ThreadCountsAllBitIdentical) {
     in.close();
     write_text(paths[2], edpfuzz::corrupt_number(buf.str(), rng));
 
-    const IngestResult reference = ingest(paths, false, 1);
-    for (const bool streaming : {false, true}) {
-        for (const int threads : {2, 4}) {
-            SCOPED_TRACE(std::string(streaming ? "stream" : "mat") +
-                         " threads " + std::to_string(threads));
-            expect_results_identical(reference,
-                                     ingest(paths, streaming, threads));
-        }
+    const IngestResult reference = reference_ingest(paths);
+    for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        expect_results_identical(reference, ingest(paths, threads));
     }
-    expect_results_identical(reference, ingest(paths, true, 1));
 }
 
 TEST(StreamDifferential, IngestRunsInMemoryEquivalence) {
-    // The streaming flag also covers pre-grouped in-memory runs (no
-    // materialising copies of kept runs); results must match, including a
-    // dropped repetition.
+    // Pre-grouped in-memory runs are reduced up front (no copies of kept
+    // runs); results must match the reference, including a dropped
+    // repetition.
     Rng rng(8);
     std::vector<std::vector<ProfiledRun>> configs;
     for (const double x1 : {2.0, 4.0, 8.0}) {
@@ -321,12 +428,10 @@ TEST(StreamDifferential, IngestRunsInMemoryEquivalence) {
     }
     configs[1][2].ranks.clear();  // dropped by validation in both paths
 
-    IngestOptions options;
-    const IngestResult mat = ingest_runs(configs, options);
-    options.streaming = true;
-    const IngestResult stream = ingest_runs(configs, options);
-    EXPECT_EQ(mat.runs_kept, 8u);
-    expect_results_identical(mat, stream);
+    const IngestOptions options;
+    const IngestResult reference = reference_ingest_runs(configs, options);
+    EXPECT_EQ(reference.runs_kept, 8u);
+    expect_results_identical(reference, ingest_runs(configs, options));
 }
 
 namespace {
@@ -382,10 +487,9 @@ std::uintmax_t write_amplified_file(const std::string& path,
 
 TEST(StreamMemoryCeiling, LargeCorpusStaysUnderBudget) {
     // Corpus: 3 repetitions of one configuration, amplified to hundreds of
-    // MB total (a few MB under sanitizers). Streaming ingest must (a) never
-    // take the materialising path — proven by the process-wide counters —
-    // and (b) keep its peak-RSS growth bounded by the largest rank block,
-    // orders of magnitude below the corpus size.
+    // MB total (a few MB under sanitizers). Ingest must keep its peak-RSS
+    // growth bounded by the largest rank block, orders of magnitude below
+    // the corpus size.
     const int n_ranks = kSanitized ? 4 : 24;
     const int event_repeat = kSanitized ? 40 : 3200;
     const TempDir dir;
@@ -405,27 +509,20 @@ TEST(StreamMemoryCeiling, LargeCorpusStaysUnderBudget) {
             << "corpus too small to prove an out-of-core ceiling";
     }
 
-    const IngestCounters before = ingest_counters();
     const double rss_before = peak_rss_mb();
-    const IngestResult result = ingest(paths, true);
+    const IngestResult result = ingest(paths);
     const double rss_delta = peak_rss_mb() - rss_before;
-    const IngestCounters after = ingest_counters();
 
     EXPECT_EQ(result.configs_kept, 1u);
     EXPECT_EQ(result.runs_kept, 3u);
     EXPECT_TRUE(result.diagnostics.empty()) << result.summary();
-
-    // The materialising path must not have run: every file was digested by
-    // the streaming reader, none was parsed into an in-memory ProfiledRun.
-    EXPECT_EQ(after.files_streamed - before.files_streamed, paths.size());
-    EXPECT_EQ(after.runs_materialized - before.runs_materialized, 0u);
 
     if (!kSanitized) {
         // Hard ceiling: far below both the corpus (> 200 MB) and what
         // materialising even a single repetition would need. The budget has
         // ~10x headroom over the observed ~6 MB rank-block working set.
         EXPECT_LE(rss_delta, 64.0)
-            << "streaming ingest peak-RSS delta " << rss_delta
+            << "ingest peak-RSS delta " << rss_delta
             << " MB over a " << total_mb << " MB corpus";
     }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
@@ -199,6 +200,52 @@ TEST(LeastSquares, CovarianceMatchesNormalEquations) {
     for (std::size_t i = 0; i < 2; ++i) {
         for (std::size_t j = 0; j < 2; ++j) {
             EXPECT_NEAR(prod(i, j), i == j ? 1.0 : 0.0, 1e-9);
+        }
+    }
+}
+
+TEST(LeastSquares, CovarianceBitIdenticalToColumnLoopNormalEquations) {
+    // The covariance's A^T A is accumulated as row outer products; per
+    // element that must be the same addition sequence as the classic
+    // column-dot loop with its zero-skip, so the covariance is bit for bit
+    // what invert_spd of the loop's result gives. The data mixes magnitudes
+    // across ~30 orders with exact zeros and negatives, so any
+    // reassociation or skipped element changes some bit.
+    const std::size_t rows = 9, cols = 4;
+    Rng rng(77);
+    Matrix a(rows, cols);
+    std::vector<double> b(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            const double mag = std::pow(10.0, rng.uniform(-15.0, 15.0));
+            const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
+            a(r, c) = rng.bernoulli(0.1) ? 0.0 : sign * mag * rng.uniform01();
+        }
+        b[r] = rng.uniform(-1.0, 1.0);
+    }
+    Matrix reference(cols, cols);
+    for (std::size_t i = 0; i < cols; ++i) {
+        for (std::size_t k = 0; k < rows; ++k) {
+            const double v = a(k, i);
+            if (v == 0.0) continue;
+            for (std::size_t j = 0; j < cols; ++j) {
+                reference(i, j) += v * a(k, j);
+            }
+        }
+    }
+    const Matrix expected = invert_spd(reference);
+
+    const auto result = least_squares(a, b);
+    ASSERT_FALSE(result.rank_deficient);
+    const Matrix& cov = result.covariance_unscaled;
+    ASSERT_EQ(cov.rows(), cols);
+    ASSERT_EQ(cov.cols(), cols);
+    for (std::size_t i = 0; i < cols; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+            const double x = expected(i, j);
+            const double y = cov(i, j);
+            EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+                << "(" << i << ", " << j << "): " << x << " vs " << y;
         }
     }
 }
