@@ -28,10 +28,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
@@ -66,24 +66,6 @@ double peak_rss_mb() {
     struct rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
     return static_cast<double>(ru.ru_maxrss) / 1024.0;
-}
-
-std::string git_revision() {
-    std::string rev = "unknown";
-    if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64] = {};
-        if (std::fgets(buf, sizeof(buf), p) != nullptr) {
-            std::string s(buf);
-            while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) {
-                s.pop_back();
-            }
-            if (!s.empty()) {
-                rev = s;
-            }
-        }
-        pclose(p);
-    }
-    return rev;
 }
 
 void add_record(std::vector<eval::MetricRecord>& out, const std::string& name,
@@ -219,28 +201,22 @@ int main(int argc, char** argv) {
     std::string out_path;
     std::string thresholds_path;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char* flag) -> std::string {
-            if (i + 1 >= argc) {
-                throw InvalidArgumentError(std::string(flag) +
-                                           " requires a value");
-            }
-            return argv[++i];
-        };
-        try {
+    try {
+        cli::Args args(argc, argv);
+        std::string arg;
+        while (args.next(arg)) {
             if (arg == "--quick") {
                 quick = true;
             } else if (arg == "--keep-files") {
                 keep_files = true;
             } else if (arg == "--corpus-mb") {
-                corpus_mb = std::stod(next_value("--corpus-mb"));
+                corpus_mb = args.double_value(arg);
             } else if (arg == "--threads") {
-                threads = std::stoi(next_value("--threads"));
+                threads = args.int_value(arg);
             } else if (arg == "--out") {
-                out_path = next_value("--out");
+                out_path = args.value(arg);
             } else if (arg == "--thresholds") {
-                thresholds_path = next_value("--thresholds");
+                thresholds_path = args.value(arg);
             } else if (arg == "-h" || arg == "--help") {
                 usage(argv[0]);
                 return 0;
@@ -249,10 +225,10 @@ int main(int argc, char** argv) {
                 usage(argv[0]);
                 return 2;
             }
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 2;
         }
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     }
     if (corpus_mb <= 0.0) {
         corpus_mb = quick ? 24.0 : 128.0;
@@ -307,33 +283,14 @@ int main(int argc, char** argv) {
         std::printf("%s\n", table.to_string().c_str());
 
         if (!out_path.empty()) {
-            std::ofstream out(out_path);
-            if (!out) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             out_path.c_str());
-                return 2;
-            }
-            out << eval::bench_json(records, git_revision(),
-                                    "extradeep-perf/1");
+            eval::write_report(out_path,
+                               eval::bench_json(records, cli::git_revision(),
+                                                "extradeep-perf/1"));
             std::printf("wrote %zu records to %s\n", records.size(),
                         out_path.c_str());
         }
-
         if (!thresholds_path.empty()) {
-            const auto thresholds =
-                eval::load_thresholds_file(thresholds_path);
-            const eval::GateResult gate = eval::check_gate(records, thresholds);
-            std::printf("gate: %zu rules, %zu records matched\n",
-                        gate.rules_checked, gate.records_matched);
-            if (!gate.pass) {
-                for (const auto& v : gate.violations) {
-                    std::fprintf(stderr, "GATE VIOLATION: %s\n", v.c_str());
-                }
-                std::fprintf(stderr, "perf gate FAILED (%zu violations)\n",
-                             gate.violations.size());
-                return 1;
-            }
-            std::printf("perf gate passed\n");
+            return eval::run_thresholds(records, thresholds_path, "perf");
         }
         return 0;
     } catch (const std::exception& e) {

@@ -6,7 +6,6 @@
 #include "advisor/ground_truth.hpp"
 #include "advisor/whatif.hpp"
 #include "common/format.hpp"
-#include "common/json.hpp"
 #include "extradeep/runner.hpp"
 
 namespace extradeep::advisor {
@@ -145,26 +144,6 @@ VerifyOutcome run_verify(const VerifyOptions& options) {
     }
     out.table = table.str();
     return out;
-}
-
-std::string whatif_bench_json(const std::vector<eval::MetricRecord>& records,
-                              const std::string& git_rev) {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"extradeep-whatif/1\",\n";
-    os << "  \"git_rev\": " << json::quote(git_rev) << ",\n";
-    os << "  \"records\": [\n";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const eval::MetricRecord& r = records[i];
-        os << "    {\"case\": " << json::quote(r.case_name)
-           << ", \"noise\": " << json::number(r.noise)
-           << ", \"metric\": " << json::quote(r.metric)
-           << ", \"value\": " << json::number(r.value)
-           << ", \"seed\": " << r.seed << "}"
-           << (i + 1 < records.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    return os.str();
 }
 
 }  // namespace extradeep::advisor

@@ -36,9 +36,4 @@ struct VerifyOutcome {
 /// intervals do not overlap) and `interval_coverage` records.
 VerifyOutcome run_verify(const VerifyOptions& options);
 
-/// Serialises records as the BENCH_whatif.json document:
-///   {"schema": "extradeep-whatif/1", "git_rev": "...", "records": [...]}
-std::string whatif_bench_json(const std::vector<eval::MetricRecord>& records,
-                              const std::string& git_rev);
-
 }  // namespace extradeep::advisor

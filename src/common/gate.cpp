@@ -55,66 +55,61 @@ Outcome check_rules(const std::vector<Sample>& samples,
     return out;
 }
 
-std::vector<Rule> parse_rules(const std::string& json_text,
-                              const RuleDocSpec& spec) {
-    const json::Value doc = json::parse(json_text, spec.what);
+std::vector<Rule> parse_rules(const std::string& json_text) {
+    const std::string what = "thresholds JSON";
+    const json::Value doc = json::parse(json_text, what);
     if (doc.kind != json::Value::Kind::Object) {
-        throw ParseError(spec.what + ": top level must be an object");
+        throw ParseError(what + ": top level must be an object");
     }
-    const json::Value* list = doc.find(spec.array_key);
+    const json::Value* list = doc.find("thresholds");
     if (list == nullptr || list->kind != json::Value::Kind::Array) {
-        throw ParseError(spec.what + ": missing \"" + spec.array_key +
-                         "\" array");
+        throw ParseError(what + ": missing \"thresholds\" array");
     }
     std::vector<Rule> out;
     out.reserve(list->array.size());
     for (const json::Value& entry : list->array) {
         if (entry.kind != json::Value::Kind::Object) {
-            throw ParseError(spec.what + ": rule must be an object");
+            throw ParseError(what + ": rule must be an object");
         }
         Rule rule;
-        if (const json::Value* v = entry.find(spec.scope_key)) {
+        if (const json::Value* v = entry.find("case")) {
             if (v->kind != json::Value::Kind::String) {
-                throw ParseError(spec.what + ": \"" + spec.scope_key +
-                                 "\" must be a string");
+                throw ParseError(what + ": \"case\" must be a string");
             }
             rule.scope = v->string;
         }
-        if (spec.parse_noise) {
-            if (const json::Value* v = entry.find("noise")) {
-                if (v->kind != json::Value::Kind::Number) {
-                    throw ParseError(spec.what +
-                                     ": \"noise\" must be a number");
-                }
-                rule.noise = v->number;
+        if (const json::Value* v = entry.find("noise")) {
+            if (v->kind != json::Value::Kind::Number) {
+                throw ParseError(what + ": \"noise\" must be a number");
             }
+            rule.noise = v->number;
         }
         const json::Value* metric = entry.find("metric");
         if (metric == nullptr || metric->kind != json::Value::Kind::String ||
             metric->string.empty()) {
-            throw ParseError(spec.what + ": rule lacks a \"metric\" string");
+            throw ParseError(what + ": rule lacks a \"metric\" string");
         }
         rule.metric = metric->string;
         if (const json::Value* v = entry.find("min")) {
             if (v->kind != json::Value::Kind::Number) {
-                throw ParseError(spec.what + ": \"min\" must be a number");
+                throw ParseError(what + ": \"min\" must be a number");
             }
             rule.min = v->number;
         }
         if (const json::Value* v = entry.find("max")) {
             if (v->kind != json::Value::Kind::Number) {
-                throw ParseError(spec.what + ": \"max\" must be a number");
+                throw ParseError(what + ": \"max\" must be a number");
             }
             rule.max = v->number;
         }
-        if (spec.require_bound && !rule.min && !rule.max) {
-            throw ParseError(spec.what + ": rule for metric '" + rule.metric +
+        if (!rule.min && !rule.max) {
+            throw ParseError(what + ": rule for metric '" + rule.metric +
                              "' has neither \"min\" nor \"max\"");
         }
         out.push_back(std::move(rule));
     }
-    if (out.empty() && !spec.allow_empty) {
-        throw ParseError(spec.what + ": empty " + spec.array_key + " array");
+    if (out.empty()) {
+        throw ParseError(what + ": empty thresholds array");
     }
     return out;
 }

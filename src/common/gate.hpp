@@ -13,8 +13,8 @@ namespace extradeep::gate {
 /// wildcard noise (negative), optional min/max bounds, and the
 /// unmatched-rule-is-a-violation guard - a renamed metric or removed case
 /// must not silently disable its threshold. This is the single
-/// implementation; the per-gate front-ends map their record types onto
-/// Sample and render Violation into their established message strings.
+/// implementation; eval::check_gate maps the standard metric records onto
+/// Sample and renders Violation into the gate's message strings.
 
 /// One measured data point a gate rule can match.
 struct Sample {
@@ -26,7 +26,7 @@ struct Sample {
 
 /// One gate rule. `scope` may be "*" (match any sample scope); `noise` may
 /// be negative (match any noise level). At least one of min/max is set by
-/// every parsed rule unless the front-end's RuleDocSpec says otherwise.
+/// every parsed rule.
 struct Rule {
     std::string scope = "*";
     double noise = -1.0;
@@ -36,8 +36,8 @@ struct Rule {
 };
 
 /// A structured gate violation. The indices point back into the rule and
-/// sample vectors handed to check_rules so front-ends can format messages
-/// in their own established style.
+/// sample vectors handed to check_rules so the front-end can format
+/// messages against its records.
 struct Violation {
     enum class Kind { BelowMin, AboveMax, Unmatched };
     Kind kind = Kind::Unmatched;
@@ -56,30 +56,19 @@ struct Outcome {
 
 /// Checks every rule against every sample. Iteration is rule-major and
 /// sample-minor, and a sample breaching both bounds emits BelowMin before
-/// AboveMax, so violation order is stable and matches the historical gate
-/// output of every front-end. A rule that matched no sample at all yields
-/// one Unmatched violation.
+/// AboveMax, so violation order is stable. A rule that matched no sample at
+/// all yields one Unmatched violation.
 Outcome check_rules(const std::vector<Sample>& samples,
                     const std::vector<Rule>& rules);
 
-/// Schema knobs for parse_rules, covering the dialect differences between
-/// the gate front-ends (eval-style thresholds vs serve-style load rules).
-struct RuleDocSpec {
-    std::string what = "thresholds JSON";  ///< error-message prefix
-    std::string array_key = "thresholds";  ///< top-level rule-array member
-    std::string scope_key = "case";        ///< per-rule scope member
-    bool parse_noise = true;               ///< accept a "noise" member
-    bool require_bound = true;             ///< each rule needs min or max
-    bool allow_empty = false;              ///< tolerate an empty rule array
-};
-
-/// Parses a rules document:
-///   {"<array_key>": [{"<scope_key>": "*", "noise": 0.0,
-///                     "metric": "exponent_recovery", "min": 1.0}, ...]}
-/// Throws ParseError (prefixed with spec.what) on malformed JSON, a missing
-/// rule array, non-string metric, non-number bounds, a rule without bounds
-/// when spec.require_bound, or an empty array unless spec.allow_empty.
-std::vector<Rule> parse_rules(const std::string& json_text,
-                              const RuleDocSpec& spec);
+/// Parses a thresholds document, the one rule dialect of every gate:
+///   {"thresholds": [{"case": "*", "noise": 0.0,
+///                    "metric": "exponent_recovery", "min": 1.0}, ...]}
+/// "case" and "noise" are optional (wildcards when omitted). Throws
+/// ParseError on malformed JSON, a missing "thresholds" array, an empty
+/// one (it would disable the gate), a rule without a "metric" string,
+/// non-string case, non-number noise/min/max, or a rule with neither min
+/// nor max.
+std::vector<Rule> parse_rules(const std::string& json_text);
 
 }  // namespace extradeep::gate

@@ -18,18 +18,15 @@
 //   extradeep-eval --list
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "eval/oracle.hpp"
 #include "eval/report.hpp"
 #include "eval/scorer.hpp"
-#include "obs/session.hpp"
 #include "profiling/edp_io.hpp"
 
 using namespace extradeep;
@@ -46,62 +43,12 @@ void usage(const char* argv0) {
         argv0);
 }
 
-std::vector<double> parse_noise_list(const std::string& arg) {
-    std::vector<double> out;
-    std::size_t pos = 0;
-    while (pos <= arg.size()) {
-        const std::size_t comma = arg.find(',', pos);
-        const std::string token =
-            arg.substr(pos, comma == std::string::npos ? std::string::npos
-                                                       : comma - pos);
-        if (token.empty()) {
-            throw InvalidArgumentError("--noise: empty entry in '" + arg + "'");
-        }
-        std::size_t used = 0;
-        const double v = std::stod(token, &used);
-        if (used != token.size() || v < 0.0) {
-            throw InvalidArgumentError("--noise: bad sigma '" + token + "'");
-        }
-        out.push_back(v);
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
-    return out;
-}
-
-/// Best-effort git revision for the BENCH_eval.json trajectory.
-std::string git_revision() {
-    std::string rev = "unknown";
-    if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64] = {};
-        if (std::fgets(buf, sizeof(buf), p) != nullptr) {
-            std::string s(buf);
-            while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) {
-                s.pop_back();
-            }
-            if (!s.empty()) {
-                rev = s;
-            }
-        }
-        pclose(p);
-    }
-    return rev;
-}
-
 /// CI helper: parse FILE with the common JSON parser; exit 0 iff it is one
 /// well-formed document. Lets scripts validate Chrome trace exports without
 /// relying on an external JSON tool.
 int validate_json_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
-        return 1;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const json::Value doc = json::parse(buffer.str(), path);
+    const json::Value doc =
+        json::parse(cli::read_text_file(path, "--validate-json"), path);
     const char* kind = doc.kind == json::Value::Kind::Object   ? "object"
                        : doc.kind == json::Value::Kind::Array  ? "array"
                        : doc.kind == json::Value::Kind::String ? "string"
@@ -133,52 +80,44 @@ int validate_edp_file(const std::string& path) {
 int main(int argc, char** argv) {
     bool quick = false;
     bool list = false;
-    bool keep_files = false;
     std::vector<std::string> only_cases;
     std::vector<double> noise_levels;
     std::string out_path;
     std::string thresholds_path;
-    std::string trace_spec;
-    bool trace_given = false;
+    std::optional<std::string> trace;
     std::string validate_json_path;
     std::string validate_edp_path;
     eval::ScoreOptions options;
+    std::vector<eval::OracleCase> cases;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char* flag) -> std::string {
-            if (i + 1 >= argc) {
-                throw InvalidArgumentError(std::string(flag) +
-                                           " requires a value");
-            }
-            return argv[++i];
-        };
-        try {
+    try {
+        cli::Args args(argc, argv);
+        std::string arg;
+        while (args.next(arg)) {
             if (arg == "--quick") {
                 quick = true;
             } else if (arg == "--list") {
                 list = true;
             } else if (arg == "--keep-files") {
-                keep_files = true;
+                options.keep_files = true;
             } else if (arg == "--case") {
-                only_cases.push_back(next_value("--case"));
+                only_cases.push_back(args.value(arg));
             } else if (arg == "--noise") {
-                noise_levels = parse_noise_list(next_value("--noise"));
+                noise_levels = cli::parse_noise_list(args.value(arg));
             } else if (arg == "--seed") {
-                options.seed = std::stoull(next_value("--seed"));
+                options.seed = args.u64_value(arg);
             } else if (arg == "--threads") {
-                options.fit_threads = std::stoi(next_value("--threads"));
+                options.fit_threads = args.int_value(arg);
             } else if (arg == "--out") {
-                out_path = next_value("--out");
+                out_path = args.value(arg);
             } else if (arg == "--thresholds") {
-                thresholds_path = next_value("--thresholds");
+                thresholds_path = args.value(arg);
             } else if (arg == "--trace") {
-                trace_spec = next_value("--trace");
-                trace_given = true;
+                trace = args.value(arg);
             } else if (arg == "--validate-json") {
-                validate_json_path = next_value("--validate-json");
+                validate_json_path = args.value(arg);
             } else if (arg == "--validate-edp") {
-                validate_edp_path = next_value("--validate-edp");
+                validate_edp_path = args.value(arg);
             } else if (arg == "-h" || arg == "--help") {
                 usage(argv[0]);
                 return 0;
@@ -187,12 +126,14 @@ int main(int argc, char** argv) {
                 usage(argv[0]);
                 return 2;
             }
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 2;
         }
+        cases = !only_cases.empty() ? eval::select_oracle_cases(only_cases)
+                : quick             ? eval::quick_oracle_cases()
+                                    : eval::default_oracle_cases();
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     }
-    options.keep_files = keep_files;
 
     try {
         if (!validate_json_path.empty()) {
@@ -202,34 +143,7 @@ int main(int argc, char** argv) {
             return validate_edp_file(validate_edp_path);
         }
 
-        obs::ObsConfig obs_config = trace_given
-                                        ? obs::parse_obs_config(trace_spec)
-                                        : obs::obs_config_from_env();
-        const bool default_x1 =
-            obs_config.params.find("x1") == obs_config.params.end();
-        obs::ObsSession session(std::move(obs_config));
-        if (session.config().enabled && default_x1) {
-            session.set_param("x1", static_cast<double>(options.fit_threads));
-        }
-
-        std::vector<eval::OracleCase> cases =
-            quick ? eval::quick_oracle_cases() : eval::default_oracle_cases();
-        if (!only_cases.empty()) {
-            std::vector<eval::OracleCase> filtered;
-            for (auto& c : eval::default_oracle_cases()) {
-                for (const auto& want : only_cases) {
-                    if (c.name == want) {
-                        filtered.push_back(std::move(c));
-                        break;
-                    }
-                }
-            }
-            if (filtered.size() != only_cases.size()) {
-                std::fprintf(stderr, "error: unknown case name in --case\n");
-                return 2;
-            }
-            cases = std::move(filtered);
-        }
+        const auto session = cli::open_obs_session(trace, options.fit_threads);
         if (list) {
             for (const auto& c : cases) {
                 std::printf("%-18s %zu params, %zu points: %s\n",
@@ -256,33 +170,13 @@ int main(int argc, char** argv) {
 
         const std::vector<eval::MetricRecord> records = eval::to_records(scores);
         if (!out_path.empty()) {
-            std::ofstream out(out_path);
-            if (!out) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             out_path.c_str());
-                return 2;
-            }
-            out << eval::bench_json(records, git_revision());
+            eval::write_report(out_path,
+                               eval::bench_json(records, cli::git_revision()));
             std::printf("wrote %zu records to %s\n", records.size(),
                         out_path.c_str());
         }
-
         if (!thresholds_path.empty()) {
-            const auto thresholds =
-                eval::load_thresholds_file(thresholds_path);
-            const eval::GateResult gate =
-                eval::check_gate(records, thresholds);
-            std::printf("gate: %zu rules, %zu records matched\n",
-                        gate.rules_checked, gate.records_matched);
-            if (!gate.pass) {
-                for (const auto& v : gate.violations) {
-                    std::fprintf(stderr, "GATE VIOLATION: %s\n", v.c_str());
-                }
-                std::fprintf(stderr, "accuracy gate FAILED (%zu violations)\n",
-                             gate.violations.size());
-                return 1;
-            }
-            std::printf("accuracy gate passed\n");
+            return eval::run_thresholds(records, thresholds_path, "accuracy");
         }
         return 0;
     } catch (const std::exception& e) {

@@ -282,15 +282,23 @@ std::vector<OracleCase> default_oracle_cases() {
 }
 
 std::vector<OracleCase> quick_oracle_cases() {
-    const std::vector<std::string> keep = {"constant", "log", "linear",
-                                           "xlogx", "quadratic", "mp_additive"};
+    return select_oracle_cases(
+        {"constant", "log", "linear", "xlogx", "quadratic", "mp_additive"});
+}
+
+std::vector<OracleCase> select_oracle_cases(
+    const std::vector<std::string>& names) {
+    std::vector<OracleCase> suite = default_oracle_cases();
+    for (const std::string& name : names) {
+        if (std::none_of(suite.begin(), suite.end(),
+                         [&](const OracleCase& c) { return c.name == name; })) {
+            throw InvalidArgumentError("unknown oracle case '" + name + "'");
+        }
+    }
     std::vector<OracleCase> out;
-    for (auto& c : default_oracle_cases()) {
-        for (const auto& k : keep) {
-            if (c.name == k) {
-                out.push_back(std::move(c));
-                break;
-            }
+    for (OracleCase& c : suite) {
+        if (std::find(names.begin(), names.end(), c.name) != names.end()) {
+            out.push_back(std::move(c));
         }
     }
     return out;

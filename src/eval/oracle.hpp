@@ -108,6 +108,12 @@ std::vector<OracleCase> default_oracle_cases();
 /// eval_accuracy_gate ctest.
 std::vector<OracleCase> quick_oracle_cases();
 
+/// The named cases of default_oracle_cases(), in suite order; a name given
+/// twice selects its case once (the tools' --case filter). Throws
+/// InvalidArgumentError naming the first name that is not a suite case.
+std::vector<OracleCase> select_oracle_cases(
+    const std::vector<std::string>& names);
+
 /// Deterministic FNV-1a hash of a case name, used to derive per-case seeds
 /// (std::hash is implementation-defined and would break cross-machine
 /// reproducibility of BENCH_eval.json).

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "common/gate.hpp"
@@ -73,11 +74,13 @@ std::string render_table(const std::vector<CaseScore>& scores) {
 }
 
 std::string bench_json(const std::vector<MetricRecord>& records,
-                       const std::string& git_rev, const std::string& schema) {
+                       const std::string& git_rev, const std::string& schema,
+                       const std::string& payload) {
     std::ostringstream os;
     os << "{\n";
     os << "  \"schema\": " << json::quote(schema) << ",\n";
     os << "  \"git_rev\": " << json::quote(git_rev) << ",\n";
+    os << payload;
     os << "  \"records\": [\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
         const MetricRecord& r = records[i];
@@ -92,46 +95,29 @@ std::string bench_json(const std::vector<MetricRecord>& records,
     return os.str();
 }
 
-std::vector<Threshold> parse_thresholds(const std::string& json_text) {
-    // Dialect and error-message prefix are the RuleDocSpec defaults; only the
-    // field names differ between gate::Rule and the public Threshold struct.
-    const std::vector<gate::Rule> rules =
-        gate::parse_rules(json_text, gate::RuleDocSpec{});
-    std::vector<Threshold> out;
-    out.reserve(rules.size());
-    for (const gate::Rule& rule : rules) {
-        Threshold t;
-        t.case_name = rule.scope;
-        t.noise = rule.noise;
-        t.metric = rule.metric;
-        t.min = rule.min;
-        t.max = rule.max;
-        out.push_back(std::move(t));
+void write_report(const std::string& path, const std::string& document) {
+    std::ofstream out(path, std::ios::binary);
+    if (!out) {
+        throw Error("cannot write '" + path + "'");
     }
-    return out;
+    out << document;
+    out.flush();
+    out.close();
+    if (out.fail()) {
+        throw Error("write to '" + path + "' failed");
+    }
 }
 
-std::vector<Threshold> load_thresholds_file(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) {
-        throw Error("load_thresholds_file: cannot open " + path);
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    return parse_thresholds(os.str());
+std::vector<gate::Rule> load_thresholds_file(const std::string& path) {
+    return gate::parse_rules(cli::read_text_file(path, "thresholds"));
 }
 
 GateResult check_gate(const std::vector<MetricRecord>& records,
-                      const std::vector<Threshold>& thresholds) {
+                      const std::vector<gate::Rule>& rules) {
     std::vector<gate::Sample> samples;
     samples.reserve(records.size());
     for (const MetricRecord& r : records) {
         samples.push_back({r.case_name, r.noise, r.metric, r.value});
-    }
-    std::vector<gate::Rule> rules;
-    rules.reserve(thresholds.size());
-    for (const Threshold& t : thresholds) {
-        rules.push_back({t.case_name, t.noise, t.metric, t.min, t.max});
     }
     const gate::Outcome outcome = gate::check_rules(samples, rules);
 
@@ -141,10 +127,10 @@ GateResult check_gate(const std::vector<MetricRecord>& records,
     result.records_matched = outcome.samples_matched;
     for (const gate::Violation& v : outcome.violations) {
         if (v.kind == gate::Violation::Kind::Unmatched) {
-            const Threshold& t = thresholds[v.rule];
+            const gate::Rule& rule = rules[v.rule];
             result.violations.push_back(
-                "threshold for metric '" + t.metric + "' (case " +
-                t.case_name + ") matched no record - the gate would be "
+                "threshold for metric '" + rule.metric + "' (case " +
+                rule.scope + ") matched no record - the gate would be "
                 "silently disabled");
             continue;
         }
@@ -158,6 +144,24 @@ GateResult check_gate(const std::vector<MetricRecord>& records,
             json::number(v.bound));
     }
     return result;
+}
+
+int run_thresholds(const std::vector<MetricRecord>& records,
+                   const std::string& path, const std::string& gate_name) {
+    const GateResult gate = check_gate(records, load_thresholds_file(path));
+    std::printf("gate: %zu rules, %zu records matched\n", gate.rules_checked,
+                gate.records_matched);
+    if (gate.pass) {
+        std::printf("%s gate passed\n", gate_name.c_str());
+        return 0;
+    }
+    std::fflush(stdout);
+    for (const std::string& v : gate.violations) {
+        std::fprintf(stderr, "GATE VIOLATION: %s\n", v.c_str());
+    }
+    std::fprintf(stderr, "%s gate FAILED (%zu violations)\n",
+                 gate_name.c_str(), gate.violations.size());
+    return 1;
 }
 
 }  // namespace extradeep::eval

@@ -1,17 +1,17 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/gate.hpp"
 #include "eval/scorer.hpp"
 
 namespace extradeep::eval {
 
-/// One machine-readable accuracy/perf data point. The (case, noise, metric,
-/// value, seed) tuple is the stable schema of BENCH_eval.json; later PRs
-/// append runs with new git revisions to trace the accuracy trajectory.
+/// One machine-readable data point. The (case, noise, metric, value, seed)
+/// tuple is the stable record schema of every BENCH_*.json and the only
+/// input the threshold gates read.
 struct MetricRecord {
     std::string case_name;
     double noise = 0.0;
@@ -32,33 +32,28 @@ std::vector<MetricRecord> to_records(const std::vector<CaseScore>& scores);
 std::string render_table(const std::vector<CaseScore>& scores);
 
 /// Serialises records as a BENCH_*.json document:
-///   {"schema": "<schema>", "git_rev": "...", "records": [...]}
-/// The schema tag names the producing harness (extradeep-eval/1 for the
-/// accuracy suite, extradeep-perf/1 for the performance suite); numbers are
-/// rendered locale-independently and round-trip exactly enough for gate
-/// checking.
+///   {"schema": "<schema>", "git_rev": "...", <payload> "records": [...]}
+/// The schema tag names the producing harness (extradeep-eval/1,
+/// extradeep-perf/1, extradeep-whatif/1, extradeep-fleet/1,
+/// extradeep-plan/1, extradeep-serve-bench/1). `payload` carries a tool's
+/// nested data beside the standard records (the planner's arms and rounds,
+/// the load generator's config): zero or more top-level members inserted
+/// verbatim, each rendered as `  "key": value,\n`. Numbers are rendered
+/// locale-independently and round-trip exactly enough for gate checking;
+/// a non-finite value throws InvalidArgumentError.
 std::string bench_json(const std::vector<MetricRecord>& records,
                        const std::string& git_rev,
-                       const std::string& schema = "extradeep-eval/1");
+                       const std::string& schema = "extradeep-eval/1",
+                       const std::string& payload = "");
 
-/// One gate rule from eval_thresholds.json. `case_name` may be "*" (any
-/// case); `noise` may be -1 (any noise level). A rule must match at least
-/// one record, otherwise the gate fails - a renamed metric or removed case
-/// must not silently disable its threshold.
-struct Threshold {
-    std::string case_name = "*";
-    double noise = -1.0;
-    std::string metric;
-    std::optional<double> min;
-    std::optional<double> max;
-};
+/// Writes a report document to `path` (the tools' --out). Throws Error if
+/// the file cannot be opened or the write fails, checked after flush and
+/// close (a full disk must not pass as "wrote N records").
+void write_report(const std::string& path, const std::string& document);
 
-/// Parses a thresholds document:
-///   {"thresholds": [{"case": "*", "noise": 0.0,
-///                    "metric": "exponent_recovery", "min": 1.0}, ...]}
-/// Throws ParseError on malformed JSON or missing fields.
-std::vector<Threshold> parse_thresholds(const std::string& json_text);
-std::vector<Threshold> load_thresholds_file(const std::string& path);
+/// Reads and parses a thresholds file (gate::parse_rules). Throws Error if
+/// it cannot be read and ParseError if it is malformed.
+std::vector<gate::Rule> load_thresholds_file(const std::string& path);
 
 /// Result of checking records against thresholds.
 struct GateResult {
@@ -68,7 +63,18 @@ struct GateResult {
     std::vector<std::string> violations;
 };
 
+/// Rules match records by case (gate::Rule::scope), noise and metric. A
+/// rule must match at least one record, otherwise the gate fails - a
+/// renamed metric or removed case must not silently disable its threshold.
 GateResult check_gate(const std::vector<MetricRecord>& records,
-                      const std::vector<Threshold>& thresholds);
+                      const std::vector<gate::Rule>& rules);
+
+/// The --thresholds runner of every tool: loads `path`, checks `records`,
+/// prints "gate: N rules, M records matched", then either "<name> gate
+/// passed" (returns 0) or one "GATE VIOLATION: ..." line per violation and
+/// "<name> gate FAILED (K violations)" on stderr (returns 1). An unreadable
+/// or malformed thresholds file throws instead.
+int run_thresholds(const std::vector<MetricRecord>& records,
+                   const std::string& path, const std::string& gate_name);
 
 }  // namespace extradeep::eval

@@ -23,20 +23,21 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "eval/report.hpp"
 #include "fleet/continuous.hpp"
 #include "fleet/scenario.hpp"
-#include "obs/session.hpp"
 #include "profiling/edp_io.hpp"
+#include "serve/query_client.hpp"
 #include "serve/server.hpp"
 #include "sim/drift.hpp"
 
@@ -66,114 +67,28 @@ void usage(const char* argv0) {
         argv0, argv0, argv0, argv0);
 }
 
-std::vector<int> parse_rank_list(const std::string& arg) {
-    std::vector<int> out;
-    std::size_t pos = 0;
-    while (pos <= arg.size()) {
-        const std::size_t comma = arg.find(',', pos);
-        const std::string token =
-            arg.substr(pos, comma == std::string::npos ? std::string::npos
-                                                       : comma - pos);
-        std::size_t used = 0;
-        const int v = std::stoi(token, &used);
-        if (token.empty() || used != token.size() || v < 1) {
-            throw InvalidArgumentError("--ranks: bad rank count '" + token +
-                                       "'");
-        }
-        out.push_back(v);
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
-    return out;
-}
-
-hw::SystemSpec parse_system(const std::string& name) {
-    if (name == "DEEP" || name == "deep") {
-        return hw::SystemSpec::deep();
-    }
-    if (name == "JURECA" || name == "jureca") {
-        return hw::SystemSpec::jureca();
-    }
-    throw InvalidArgumentError("--system: unknown system '" + name +
-                               "' (expected DEEP or JURECA)");
-}
-
-/// Simple flag cursor shared by all modes (same shape as extradeep-serve).
-class Args {
-public:
-    Args(int argc, char** argv, int first)
-        : argc_(argc), argv_(argv), i_(first) {}
-    bool next(std::string& arg) {
-        if (i_ >= argc_) {
-            return false;
-        }
-        arg = argv_[i_++];
-        return true;
-    }
-    std::string value(const std::string& flag) {
-        if (i_ >= argc_) {
-            throw InvalidArgumentError(flag + " requires a value");
-        }
-        return argv_[i_++];
-    }
-
-private:
-    int argc_;
-    char** argv_;
-    int i_;
-};
-
 /// Spec flags shared by serve and drive (daemon and collector must agree on
 /// the experiment template). Returns true if `arg` was consumed.
-bool parse_spec_flag(const std::string& arg, Args& args, ExperimentSpec& spec) {
+bool parse_spec_flag(const std::string& arg, cli::Args& args,
+                     ExperimentSpec& spec) {
     if (arg == "--dataset") {
         spec.dataset = args.value(arg);
     } else if (arg == "--system") {
-        spec.system = parse_system(args.value(arg));
+        spec.system = cli::parse_system(args.value(arg));
     } else if (arg == "--strategy") {
         spec.strategy = parallel::parse_strategy(args.value(arg));
     } else if (arg == "--scaling") {
         spec.scaling = parallel::parse_scaling(args.value(arg));
     } else if (arg == "--batch") {
-        spec.batch_per_worker = std::stoll(args.value(arg));
+        spec.batch_per_worker = args.int_value(arg);
     } else if (arg == "--mdegree") {
-        spec.model_parallel_degree = std::stoi(args.value(arg));
+        spec.model_parallel_degree = args.int_value(arg);
     } else if (arg == "--seed") {
-        spec.seed = std::stoull(args.value(arg));
+        spec.seed = args.u64_value(arg);
     } else {
         return false;
     }
     return true;
-}
-
-std::string git_revision() {
-    std::string rev = "unknown";
-    if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64];
-        if (fgets(buf, sizeof(buf), p) != nullptr) {
-            rev = buf;
-            while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
-                rev.pop_back();
-            }
-        }
-        pclose(p);
-        if (rev.empty()) {
-            rev = "unknown";
-        }
-    }
-    return rev;
-}
-
-std::string read_text_file(const std::string& path, const char* what) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw Error(std::string(what) + ": cannot read '" + path + "'");
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
 }
 
 serve::ServeDaemon* g_daemon = nullptr;
@@ -184,13 +99,12 @@ void handle_signal(int) {
     }
 }
 
-int run_serve(Args args) {
+int run_serve(cli::Args& args) {
     fleet::FleetOptions fleet_opts;
     serve::ServerOptions server_opts;
     server_opts.max_request_line = 32u << 20;  // ingest payloads
     int poll_ms = 100;
-    std::string trace_spec;
-    bool trace_given = false;
+    std::optional<std::string> trace;
     std::string arg;
     while (args.next(arg)) {
         if (arg == "--models") {
@@ -198,29 +112,27 @@ int run_serve(Args args) {
         } else if (arg == "--spool") {
             fleet_opts.spool_dir = args.value(arg);
         } else if (arg == "--port") {
-            server_opts.port = std::stoi(args.value(arg));
+            server_opts.port = args.int_value(arg);
         } else if (arg == "--host") {
             server_opts.host = args.value(arg);
         } else if (arg == "--threads") {
-            server_opts.threads = std::stoi(args.value(arg));
+            server_opts.threads = args.int_value(arg);
         } else if (arg == "--fit-threads") {
-            fleet_opts.fit_threads = std::stoi(args.value(arg));
+            fleet_opts.fit_threads = args.int_value(arg);
         } else if (arg == "--min-runs") {
-            fleet_opts.min_runs = std::stoi(args.value(arg));
+            fleet_opts.min_runs = args.int_value(arg);
         } else if (arg == "--quiescence-ms") {
-            fleet_opts.quiescence_ns =
-                std::stoull(args.value(arg)) * 1'000'000ULL;
+            fleet_opts.quiescence_ns = args.u64_value(arg) * 1'000'000ULL;
         } else if (arg == "--window") {
-            fleet_opts.window = std::stoi(args.value(arg));
+            fleet_opts.window = args.int_value(arg);
         } else if (arg == "--max-pending") {
-            fleet_opts.max_pending = std::stoi(args.value(arg));
+            fleet_opts.max_pending = args.int_value(arg);
         } else if (arg == "--poll-ms") {
-            poll_ms = std::stoi(args.value(arg));
+            poll_ms = args.int_value(arg);
         } else if (arg == "--max-line") {
-            server_opts.max_request_line = std::stoull(args.value(arg));
+            server_opts.max_request_line = args.u64_value(arg);
         } else if (arg == "--trace") {
-            trace_spec = args.value(arg);
-            trace_given = true;
+            trace = args.value(arg);
         } else if (parse_spec_flag(arg, args, fleet_opts.spec)) {
         } else {
             throw InvalidArgumentError("serve: unknown option '" + arg + "'");
@@ -229,9 +141,7 @@ int run_serve(Args args) {
     if (fleet_opts.models_dir.empty()) {
         throw InvalidArgumentError("serve: --models DIR is required");
     }
-    obs::ObsConfig obs_config = trace_given ? obs::parse_obs_config(trace_spec)
-                                            : obs::obs_config_from_env();
-    const obs::ObsSession session(std::move(obs_config));
+    const auto session = cli::open_obs_session(trace, std::nullopt);
 
     auto registry = std::make_shared<serve::ModelRegistry>();
     auto service = std::make_shared<fleet::FleetService>(fleet_opts, registry);
@@ -274,7 +184,7 @@ long long stats_field(const std::string& line, const std::string& key) {
     }
 }
 
-int run_drive(Args args) {
+int run_drive(cli::Args& args) {
     std::string host = "127.0.0.1";
     int port = 0;
     std::string spool_dir;
@@ -294,29 +204,28 @@ int run_drive(Args args) {
         if (arg == "--host") {
             host = args.value(arg);
         } else if (arg == "--port") {
-            port = std::stoi(args.value(arg));
+            port = args.int_value(arg);
         } else if (arg == "--spool") {
             spool_dir = args.value(arg);
         } else if (arg == "--experiment") {
             experiment = args.value(arg);
         } else if (arg == "--ranks") {
-            ranks = parse_rank_list(args.value(arg));
+            ranks = cli::parse_rank_list(args.value(arg));
         } else if (arg == "--pre") {
-            pre = std::stoi(args.value(arg));
+            pre = args.int_value(arg);
         } else if (arg == "--post") {
-            post = std::stoi(args.value(arg));
+            post = args.int_value(arg);
         } else if (arg == "--drift") {
             drift = sim::parse_drift(args.value(arg));
         } else if (arg == "--probe") {
-            probe = std::stoi(args.value(arg));
+            probe = args.int_value(arg);
         } else if (arg == "--tol") {
-            double v = 0.0;
-            if (!fmt::parse_double(args.value(arg), v) || v <= 0.0) {
-                throw InvalidArgumentError("drive: bad --tol");
+            tol = args.double_value(arg);
+            if (tol <= 0.0) {
+                throw InvalidArgumentError("drive: --tol must be > 0");
             }
-            tol = v;
         } else if (arg == "--wait-ms") {
-            wait_ms = std::stoi(args.value(arg));
+            wait_ms = args.int_value(arg);
         } else if (parse_spec_flag(arg, args, spec)) {
         } else {
             throw InvalidArgumentError("drive: unknown option '" + arg + "'");
@@ -439,30 +348,7 @@ int run_drive(Args args) {
     return 0;
 }
 
-int run_query(Args args) {
-    std::string host = "127.0.0.1";
-    int port = 0;
-    std::vector<std::string> requests;
-    std::string arg;
-    while (args.next(arg)) {
-        if (arg == "--host") {
-            host = args.value(arg);
-        } else if (arg == "--port") {
-            port = std::stoi(args.value(arg));
-        } else {
-            requests.push_back(arg);
-        }
-    }
-    if (port <= 0 || requests.empty()) {
-        throw InvalidArgumentError("query: --port N and REQUEST... required");
-    }
-    for (const auto& r : serve::query_daemon(host, port, requests)) {
-        std::printf("%s\n", r.c_str());
-    }
-    return 0;
-}
-
-int run_quick(Args args) {
+int run_quick(cli::Args& args) {
     fleet::ScenarioOptions options;
     std::string thresholds_path;
     std::string out_path;
@@ -493,28 +379,14 @@ int run_quick(Args args) {
                 static_cast<unsigned long long>(report.stats.swaps),
                 static_cast<unsigned long long>(report.stats.stale_discarded));
     if (!out_path.empty()) {
-        const std::string doc = eval::bench_json(report.records,
-                                                 git_revision(),
-                                                 "extradeep-fleet/1");
-        std::ofstream out(out_path, std::ios::binary);
-        if (!out || !(out << doc)) {
-            throw Error("--quick: cannot write '" + out_path + "'");
-        }
+        eval::write_report(out_path,
+                           eval::bench_json(report.records, cli::git_revision(),
+                                            "extradeep-fleet/1"));
         std::printf("wrote %s\n", out_path.c_str());
     }
     if (!thresholds_path.empty()) {
-        const auto thresholds = eval::parse_thresholds(
-            read_text_file(thresholds_path, "--quick"));
-        const eval::GateResult gate =
-            eval::check_gate(report.records, thresholds);
-        if (!gate.pass) {
-            for (const auto& v : gate.violations) {
-                std::fprintf(stderr, "threshold violation: %s\n", v.c_str());
-            }
-            return 1;
-        }
-        std::printf("thresholds ok (%zu rules, %s)\n", gate.rules_checked,
-                    thresholds_path.c_str());
+        return eval::run_thresholds(report.records, thresholds_path,
+                                    "fleet drift");
     }
     return 0;
 }
@@ -528,7 +400,7 @@ int main(int argc, char** argv) {
     }
     const std::string mode = argv[1];
     try {
-        Args args(argc, argv, 2);
+        cli::Args args(argc, argv, 2);
         if (mode == "serve") {
             return run_serve(args);
         }
@@ -536,7 +408,7 @@ int main(int argc, char** argv) {
             return run_drive(args);
         }
         if (mode == "query") {
-            return run_query(args);
+            return serve::run_query_client(args);
         }
         if (mode == "--quick") {
             return run_quick(args);

@@ -1,12 +1,9 @@
 #include "planner/report.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
-#include "common/error.hpp"
 #include "common/format.hpp"
-#include "common/gate.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "obs/trace.hpp"
@@ -141,9 +138,6 @@ std::string render_table(const std::vector<PlanCaseReport>& reports) {
 std::string plan_json(const std::vector<PlanCaseReport>& reports,
                       const std::string& git_rev) {
     std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": " << json::quote("extradeep-plan/1") << ",\n";
-    os << "  \"git_rev\": " << json::quote(git_rev) << ",\n";
     os << "  \"paper_sampling_reduction_pct\": "
        << json::number(kPaperSamplingReductionPct) << ",\n";
     os << "  \"plans\": [\n";
@@ -192,69 +186,8 @@ std::string plan_json(const std::vector<PlanCaseReport>& reports,
         os << "]}" << (i + 1 < reports.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
-    os << "  \"records\": [\n";
-    const std::vector<eval::MetricRecord> records = to_records(reports);
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const eval::MetricRecord& r = records[i];
-        os << "    {\"case\": " << json::quote(r.case_name)
-           << ", \"noise\": " << json::number(r.noise)
-           << ", \"metric\": " << json::quote(r.metric)
-           << ", \"value\": " << json::number(r.value)
-           << ", \"seed\": " << r.seed << "}"
-           << (i + 1 < records.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    return os.str();
-}
-
-eval::GateResult check_plan_gate(const std::vector<eval::MetricRecord>& records,
-                                 const std::string& thresholds_json) {
-    gate::RuleDocSpec spec;
-    spec.what = "plan thresholds JSON";
-    const std::vector<gate::Rule> rules =
-        gate::parse_rules(thresholds_json, spec);
-
-    std::vector<gate::Sample> samples;
-    samples.reserve(records.size());
-    for (const eval::MetricRecord& r : records) {
-        samples.push_back({r.case_name, r.noise, r.metric, r.value});
-    }
-    const gate::Outcome outcome = gate::check_rules(samples, rules);
-
-    eval::GateResult result;
-    result.pass = outcome.pass;
-    result.rules_checked = outcome.rules_checked;
-    result.records_matched = outcome.samples_matched;
-    for (const gate::Violation& v : outcome.violations) {
-        if (v.kind == gate::Violation::Kind::Unmatched) {
-            const gate::Rule& rule = rules[v.rule];
-            result.violations.push_back(
-                "threshold for metric '" + rule.metric + "' (case " +
-                rule.scope + ") matched no record - the gate would be "
-                "silently disabled");
-            continue;
-        }
-        const eval::MetricRecord& r = records[v.sample];
-        std::ostringstream where;
-        where << r.case_name << " @ noise " << fmt::fixed(r.noise, 3) << ": "
-              << r.metric << " = " << json::number(r.value);
-        result.violations.push_back(
-            where.str() +
-            (v.kind == gate::Violation::Kind::BelowMin ? " < min " : " > max ") +
-            json::number(v.bound));
-    }
-    return result;
-}
-
-eval::GateResult check_plan_gate_file(
-    const std::vector<eval::MetricRecord>& records, const std::string& path) {
-    std::ifstream in(path);
-    if (!in) {
-        throw Error("check_plan_gate_file: cannot open " + path);
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    return check_plan_gate(records, os.str());
+    return eval::bench_json(to_records(reports), git_rev, "extradeep-plan/1",
+                            os.str());
 }
 
 }  // namespace extradeep::planner

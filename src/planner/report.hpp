@@ -55,20 +55,13 @@ std::vector<eval::MetricRecord> to_records(
 /// Human-readable results table plus the cost-reduction summary line.
 std::string render_table(const std::vector<PlanCaseReport>& reports);
 
-/// Serialises reports as a schema extradeep-plan/1 document: per-plan arms
+/// Serialises reports as a schema extradeep-plan/1 document: the standard
+/// eval::bench_json layout whose nested payload holds the per-plan arms
 /// (pull counts, means, elimination rounds) and rounds (budget trajectory,
-/// per-round model deltas), plus the flat gate records. Deliberately free
+/// per-round model deltas) beside the flat gate records. Deliberately free
 /// of wall-clock fields - same seed and budget must render byte-identical
 /// JSON at any thread count.
 std::string plan_json(const std::vector<PlanCaseReport>& reports,
                       const std::string& git_rev);
-
-/// Parses a plan thresholds document ({"thresholds": [...]}, eval dialect)
-/// and checks the records against it on the shared common/gate core,
-/// formatting violations in the established gate style.
-eval::GateResult check_plan_gate(const std::vector<eval::MetricRecord>& records,
-                                 const std::string& thresholds_json);
-eval::GateResult check_plan_gate_file(
-    const std::vector<eval::MetricRecord>& records, const std::string& path);
 
 }  // namespace extradeep::planner

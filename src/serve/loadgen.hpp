@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "eval/report.hpp"
+
 namespace extradeep::serve {
 
 /// Load-generator client for the serve daemon: N concurrent connections,
@@ -61,25 +63,18 @@ struct LoadGenResult {
 /// times out, or is closed before all responses arrive.
 LoadGenResult run_load(const LoadGenOptions& options);
 
-/// One named measurement pass for the report.
-struct LoadGenRecord {
-    std::string mode;  ///< "closed" or "open"
-    LoadGenResult result;
-};
+/// Flattens one measurement pass into standard gate records: case = the
+/// mode name ("closed" or "open"), one record per metric (qps,
+/// latency_{p50,p95,p99,mean,max}_us, requests, responses, errors,
+/// wall_seconds). noise and seed keep their record defaults.
+std::vector<eval::MetricRecord> to_records(const std::string& mode,
+                                           const LoadGenResult& result);
 
 /// Renders the BENCH_serve.json document (schema extradeep-serve-bench/1):
-/// a config block plus one {mode, metric, value} record per measurement,
-/// mirroring the BENCH_eval.json record layout.
+/// the standard eval::bench_json record layout, with the run configuration
+/// as a nested "config" payload.
 std::string load_report_json(const LoadGenOptions& options, int threads,
-                             const std::vector<LoadGenRecord>& records);
-
-/// Applies a thresholds document (JSON: {"rules": [{"mode": "closed"|"open"
-/// |"*", "metric": "qps", "min": ..., "max": ...}, ...]}) to the records.
-/// Returns human-readable violation lines, empty when the gate passes. A
-/// rule matching no record is itself a violation (same semantics as the
-/// eval gate: a stale rule must fail loudly, not silently pass).
-std::vector<std::string> check_load_thresholds(
-    const std::string& thresholds_json,
-    const std::vector<LoadGenRecord>& records);
+                             const std::vector<eval::MetricRecord>& records,
+                             const std::string& git_rev);
 
 }  // namespace extradeep::serve

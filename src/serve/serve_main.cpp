@@ -32,16 +32,16 @@
 
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
-#include "obs/session.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/query.hpp"
+#include "serve/query_client.hpp"
 #include "serve/registry.hpp"
 #include "serve/serialize.hpp"
 #include "serve/server.hpp"
@@ -75,116 +75,39 @@ void usage(const char* argv0) {
                  argv0, argv0, argv0, argv0, argv0);
 }
 
-std::vector<int> parse_rank_list(const std::string& arg) {
-    std::vector<int> out;
-    std::size_t pos = 0;
-    while (pos <= arg.size()) {
-        const std::size_t comma = arg.find(',', pos);
-        const std::string token =
-            arg.substr(pos, comma == std::string::npos ? std::string::npos
-                                                       : comma - pos);
-        std::size_t used = 0;
-        const int v = std::stoi(token, &used);
-        if (token.empty() || used != token.size() || v < 1) {
-            throw InvalidArgumentError("--ranks: bad rank count '" + token +
-                                       "'");
-        }
-        out.push_back(v);
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
-    return out;
-}
-
-hw::SystemSpec parse_system(const std::string& name) {
-    if (name == "DEEP" || name == "deep") {
-        return hw::SystemSpec::deep();
-    }
-    if (name == "JURECA" || name == "jureca") {
-        return hw::SystemSpec::jureca();
-    }
-    throw InvalidArgumentError("--system: unknown system '" + name +
-                               "' (expected DEEP or JURECA)");
-}
-
-/// Simple flag cursor shared by all modes.
-class Args {
-public:
-    Args(int argc, char** argv, int first) : argc_(argc), argv_(argv),
-                                             i_(first) {}
-    bool next(std::string& arg) {
-        if (i_ >= argc_) {
-            return false;
-        }
-        arg = argv_[i_++];
-        return true;
-    }
-    std::string value(const std::string& flag) {
-        if (i_ >= argc_) {
-            throw InvalidArgumentError(flag + " requires a value");
-        }
-        return argv_[i_++];
-    }
-
-private:
-    int argc_;
-    char** argv_;
-    int i_;
-};
-
-/// Observability session for one CLI mode: --trace SPEC wins over the
-/// EXTRADEEP_TRACE environment; `threads` becomes the self-profile x1
-/// parameter unless the spec named one explicitly.
-std::unique_ptr<obs::ObsSession> make_obs_session(const std::string& spec,
-                                                  bool spec_given,
-                                                  int threads) {
-    obs::ObsConfig config =
-        spec_given ? obs::parse_obs_config(spec) : obs::obs_config_from_env();
-    const bool default_x1 = config.params.find("x1") == config.params.end();
-    auto session = std::make_unique<obs::ObsSession>(std::move(config));
-    if (session->config().enabled && default_x1) {
-        session->set_param("x1", static_cast<double>(threads));
-    }
-    return session;
-}
-
-int run_fit(Args args) {
+int run_fit(cli::Args& args) {
     ExperimentSpec spec;
     std::string out_path;
     std::string name = "model";
-    std::string trace_spec;
-    bool trace_given = false;
+    std::optional<std::string> trace;
     std::string arg;
     while (args.next(arg)) {
         if (arg == "--out") {
             out_path = args.value(arg);
         } else if (arg == "--trace") {
-            trace_spec = args.value(arg);
-            trace_given = true;
+            trace = args.value(arg);
         } else if (arg == "--name") {
             name = args.value(arg);
         } else if (arg == "--dataset") {
             spec.dataset = args.value(arg);
         } else if (arg == "--system") {
-            spec.system = parse_system(args.value(arg));
+            spec.system = cli::parse_system(args.value(arg));
         } else if (arg == "--strategy") {
             spec.strategy = parallel::parse_strategy(args.value(arg));
         } else if (arg == "--scaling") {
             spec.scaling = parallel::parse_scaling(args.value(arg));
         } else if (arg == "--batch") {
-            spec.batch_per_worker = std::stoll(args.value(arg));
+            spec.batch_per_worker = args.int_value(arg);
         } else if (arg == "--mdegree") {
-            spec.model_parallel_degree = std::stoi(args.value(arg));
+            spec.model_parallel_degree = args.int_value(arg);
         } else if (arg == "--ranks") {
-            spec.modeling_ranks = parse_rank_list(args.value(arg));
+            spec.modeling_ranks = cli::parse_rank_list(args.value(arg));
         } else if (arg == "--reps") {
-            spec.repetitions = std::stoi(args.value(arg));
+            spec.repetitions = args.int_value(arg);
         } else if (arg == "--seed") {
-            spec.seed = std::stoull(args.value(arg));
+            spec.seed = args.u64_value(arg);
         } else if (arg == "--threads") {
-            spec.fit_threads = std::stoi(args.value(arg));
+            spec.fit_threads = args.int_value(arg);
         } else {
             throw InvalidArgumentError("fit: unknown option '" + arg + "'");
         }
@@ -192,8 +115,7 @@ int run_fit(Args args) {
     if (out_path.empty()) {
         throw InvalidArgumentError("fit: --out FILE is required");
     }
-    const auto session =
-        make_obs_session(trace_spec, trace_given, spec.fit_threads);
+    const auto session = cli::open_obs_session(trace, spec.fit_threads);
     const ExperimentRunner runner(spec);
     const ExperimentResult result = runner.run();
     const serve::ServableModel model =
@@ -221,31 +143,25 @@ void handle_signal(int) {
     }
 }
 
-int run_serve(Args args) {
+int run_serve(cli::Args& args) {
     std::string models_dir;
     serve::ServerOptions options;
-    std::string trace_spec;
-    bool trace_given = false;
-    std::int64_t fake_clock_step_us = -1;
+    std::optional<std::string> trace;
+    std::optional<std::uint64_t> fake_clock_step_us;
     std::string arg;
     while (args.next(arg)) {
         if (arg == "--models") {
             models_dir = args.value(arg);
         } else if (arg == "--port") {
-            options.port = std::stoi(args.value(arg));
+            options.port = args.int_value(arg);
         } else if (arg == "--threads") {
-            options.threads = std::stoi(args.value(arg));
+            options.threads = args.int_value(arg);
         } else if (arg == "--host") {
             options.host = args.value(arg);
         } else if (arg == "--trace") {
-            trace_spec = args.value(arg);
-            trace_given = true;
+            trace = args.value(arg);
         } else if (arg == "--fake-clock") {
-            fake_clock_step_us = std::stoll(args.value(arg));
-            if (fake_clock_step_us < 0) {
-                throw InvalidArgumentError(
-                    "serve: --fake-clock STEP_US must be >= 0");
-            }
+            fake_clock_step_us = args.u64_value(arg);
         } else {
             throw InvalidArgumentError("serve: unknown option '" + arg + "'");
         }
@@ -253,15 +169,14 @@ int run_serve(Args args) {
     if (models_dir.empty()) {
         throw InvalidArgumentError("serve: --models DIR is required");
     }
-    const auto session =
-        make_obs_session(trace_spec, trace_given, options.threads);
+    const auto session = cli::open_obs_session(trace, options.threads);
     // --fake-clock STEP_US swaps the latency clock for a deterministic one
     // advancing STEP_US microseconds per reading, so `stats`/`metrics`
     // responses are byte-stable across runs and across daemon/ask modes.
     std::unique_ptr<obs::FakeClock> fake_clock;
-    if (fake_clock_step_us >= 0) {
-        fake_clock = std::make_unique<obs::FakeClock>(
-            0, static_cast<std::uint64_t>(fake_clock_step_us) * 1000);
+    if (fake_clock_step_us) {
+        fake_clock =
+            std::make_unique<obs::FakeClock>(0, *fake_clock_step_us * 1000);
     }
     auto registry = std::make_shared<serve::ModelRegistry>();
     print_load_report(registry->load_directory(models_dir));
@@ -280,53 +195,19 @@ int run_serve(Args args) {
     return 0;
 }
 
-int run_query(Args args) {
-    std::string host = "127.0.0.1";
-    int port = 0;
-    std::vector<std::string> requests;
-    std::string arg;
-    while (args.next(arg)) {
-        if (arg == "--host") {
-            host = args.value(arg);
-        } else if (arg == "--port") {
-            port = std::stoi(args.value(arg));
-        } else {
-            requests.push_back(arg);
-        }
-    }
-    if (port <= 0) {
-        throw InvalidArgumentError("query: --port N is required");
-    }
-    if (requests.empty()) {
-        throw InvalidArgumentError("query: no requests given");
-    }
-    const std::vector<std::string> responses =
-        serve::query_daemon(host, port, requests);
-    for (const auto& r : responses) {
-        std::printf("%s\n", r.c_str());
-    }
-    return 0;
-}
-
-int run_ask(Args args) {
+int run_ask(cli::Args& args) {
     std::string models_dir;
     std::vector<std::string> requests;
-    std::string trace_spec;
-    bool trace_given = false;
-    std::int64_t fake_clock_step_us = -1;
+    std::optional<std::string> trace;
+    std::optional<std::uint64_t> fake_clock_step_us;
     std::string arg;
     while (args.next(arg)) {
         if (arg == "--models") {
             models_dir = args.value(arg);
         } else if (arg == "--trace") {
-            trace_spec = args.value(arg);
-            trace_given = true;
+            trace = args.value(arg);
         } else if (arg == "--fake-clock") {
-            fake_clock_step_us = std::stoll(args.value(arg));
-            if (fake_clock_step_us < 0) {
-                throw InvalidArgumentError(
-                    "ask: --fake-clock STEP_US must be >= 0");
-            }
+            fake_clock_step_us = args.u64_value(arg);
         } else {
             requests.push_back(arg);
         }
@@ -337,11 +218,11 @@ int run_ask(Args args) {
     if (requests.empty()) {
         throw InvalidArgumentError("ask: no requests given");
     }
-    const auto session = make_obs_session(trace_spec, trace_given, 1);
+    const auto session = cli::open_obs_session(trace, 1);
     std::unique_ptr<obs::FakeClock> fake_clock;
-    if (fake_clock_step_us >= 0) {
-        fake_clock = std::make_unique<obs::FakeClock>(
-            0, static_cast<std::uint64_t>(fake_clock_step_us) * 1000);
+    if (fake_clock_step_us) {
+        fake_clock =
+            std::make_unique<obs::FakeClock>(0, *fake_clock_step_us * 1000);
     }
     auto registry = std::make_shared<serve::ModelRegistry>();
     const auto report = registry->load_directory(models_dir);
@@ -356,17 +237,7 @@ int run_ask(Args args) {
     return 0;
 }
 
-std::string read_text_file(const std::string& path, const char* what) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw Error(std::string(what) + ": cannot read '" + path + "'");
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-int run_loadgen(Args args) {
+int run_loadgen(cli::Args& args) {
     serve::LoadGenOptions lg;
     bool self = false;
     std::string models_dir;
@@ -381,21 +252,21 @@ int run_loadgen(Args args) {
         } else if (arg == "--models") {
             models_dir = args.value(arg);
         } else if (arg == "--port") {
-            lg.port = std::stoi(args.value(arg));
+            lg.port = args.int_value(arg);
         } else if (arg == "--host") {
             lg.host = args.value(arg);
         } else if (arg == "--connections") {
-            lg.connections = std::stoi(args.value(arg));
+            lg.connections = args.int_value(arg);
         } else if (arg == "--requests") {
-            lg.requests_per_connection = std::stoi(args.value(arg));
+            lg.requests_per_connection = args.int_value(arg);
         } else if (arg == "--pipeline") {
-            lg.pipeline_depth = std::stoi(args.value(arg));
+            lg.pipeline_depth = args.int_value(arg);
         } else if (arg == "--mode") {
             mode_arg = args.value(arg);
         } else if (arg == "--threads") {
-            daemon_threads = std::stoi(args.value(arg));
+            daemon_threads = args.int_value(arg);
         } else if (arg == "--timeout") {
-            lg.timeout_ms = std::stoi(args.value(arg));
+            lg.timeout_ms = args.int_value(arg);
         } else if (arg == "--out") {
             out_path = args.value(arg);
         } else if (arg == "--thresholds") {
@@ -464,23 +335,22 @@ int run_loadgen(Args args) {
         lg.port = daemon->port();
     }
 
-    std::vector<serve::LoadGenRecord> records;
+    std::vector<eval::MetricRecord> records;
     for (const serve::LoadMode mode : modes) {
         lg.mode = mode;
-        serve::LoadGenRecord record;
-        record.mode = serve::load_mode_name(mode);
-        record.result = serve::run_load(lg);
+        const char* name = serve::load_mode_name(mode);
+        const serve::LoadGenResult result = serve::run_load(lg);
         std::printf(
             "%-6s %llu/%llu ok (%llu err) qps %.0f p50 %.0fus p95 %.0fus "
             "p99 %.0fus max %.0fus\n",
-            record.mode.c_str(),
-            static_cast<unsigned long long>(record.result.responses_received),
-            static_cast<unsigned long long>(record.result.requests_sent),
-            static_cast<unsigned long long>(record.result.error_responses),
-            record.result.qps, record.result.latency_p50_us,
-            record.result.latency_p95_us, record.result.latency_p99_us,
-            record.result.latency_max_us);
-        records.push_back(std::move(record));
+            name, static_cast<unsigned long long>(result.responses_received),
+            static_cast<unsigned long long>(result.requests_sent),
+            static_cast<unsigned long long>(result.error_responses),
+            result.qps, result.latency_p50_us, result.latency_p95_us,
+            result.latency_p99_us, result.latency_max_us);
+        const auto mode_records = serve::to_records(name, result);
+        records.insert(records.end(), mode_records.begin(),
+                       mode_records.end());
     }
 
     if (daemon) {
@@ -489,25 +359,13 @@ int run_loadgen(Args args) {
     }
 
     if (!out_path.empty()) {
-        const std::string report =
-            serve::load_report_json(lg, daemon_threads, records);
-        std::ofstream out(out_path, std::ios::binary);
-        if (!out || !(out << report)) {
-            throw Error("loadgen: cannot write '" + out_path + "'");
-        }
+        eval::write_report(out_path,
+                           serve::load_report_json(lg, daemon_threads, records,
+                                                   cli::git_revision()));
         std::printf("wrote %s\n", out_path.c_str());
     }
     if (!thresholds_path.empty()) {
-        const std::vector<std::string> violations =
-            serve::check_load_thresholds(
-                read_text_file(thresholds_path, "loadgen"), records);
-        if (!violations.empty()) {
-            for (const auto& v : violations) {
-                std::fprintf(stderr, "threshold violation: %s\n", v.c_str());
-            }
-            return 1;
-        }
-        std::printf("thresholds ok (%s)\n", thresholds_path.c_str());
+        return eval::run_thresholds(records, thresholds_path, "serve load");
     }
     return 0;
 }
@@ -521,7 +379,7 @@ int main(int argc, char** argv) {
     }
     const std::string mode = argv[1];
     try {
-        Args args(argc, argv, 2);
+        cli::Args args(argc, argv, 2);
         if (mode == "fit") {
             return run_fit(args);
         }
@@ -529,7 +387,7 @@ int main(int argc, char** argv) {
             return run_serve(args);
         }
         if (mode == "query") {
-            return run_query(args);
+            return serve::run_query_client(args);
         }
         if (mode == "ask") {
             return run_ask(args);

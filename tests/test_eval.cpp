@@ -336,15 +336,15 @@ TEST(EvalGate, ParsesWellFormedThresholds) {
         {"metric": "smape_in_range", "max": 5.0}
       ]
     })";
-    const auto rules = parse_thresholds(doc);
+    const auto rules = gate::parse_rules(doc);
     ASSERT_EQ(rules.size(), 2u);
-    EXPECT_EQ(rules[0].case_name, "*");
+    EXPECT_EQ(rules[0].scope, "*");
     EXPECT_DOUBLE_EQ(rules[0].noise, 0.0);
     ASSERT_TRUE(rules[0].min.has_value());
     EXPECT_DOUBLE_EQ(*rules[0].min, 1.0);
     EXPECT_FALSE(rules[0].max.has_value());
     // Omitted case/noise default to wildcards.
-    EXPECT_EQ(rules[1].case_name, "*");
+    EXPECT_EQ(rules[1].scope, "*");
     EXPECT_DOUBLE_EQ(rules[1].noise, -1.0);
     ASSERT_TRUE(rules[1].max.has_value());
     EXPECT_DOUBLE_EQ(*rules[1].max, 5.0);
@@ -352,25 +352,25 @@ TEST(EvalGate, ParsesWellFormedThresholds) {
 
 TEST(EvalGate, RejectsMalformedThresholdDocuments) {
     // Not JSON at all.
-    EXPECT_THROW(parse_thresholds("not json"), ParseError);
+    EXPECT_THROW(gate::parse_rules("not json"), ParseError);
     // Trailing garbage after the document.
-    EXPECT_THROW(parse_thresholds("{\"thresholds\": []} extra"), ParseError);
+    EXPECT_THROW(gate::parse_rules("{\"thresholds\": []} extra"), ParseError);
     // Top level must be an object with a thresholds array.
-    EXPECT_THROW(parse_thresholds("[]"), ParseError);
-    EXPECT_THROW(parse_thresholds("{\"rules\": []}"), ParseError);
+    EXPECT_THROW(gate::parse_rules("[]"), ParseError);
+    EXPECT_THROW(gate::parse_rules("{\"rules\": []}"), ParseError);
     // Empty rule list would disable the gate.
-    EXPECT_THROW(parse_thresholds("{\"thresholds\": []}"), ParseError);
+    EXPECT_THROW(gate::parse_rules("{\"thresholds\": []}"), ParseError);
     // A rule without a metric is meaningless.
     EXPECT_THROW(
-        parse_thresholds("{\"thresholds\": [{\"min\": 1.0}]}"), ParseError);
+        gate::parse_rules("{\"thresholds\": [{\"min\": 1.0}]}"), ParseError);
     // A rule without min or max checks nothing.
     EXPECT_THROW(
-        parse_thresholds(
+        gate::parse_rules(
             "{\"thresholds\": [{\"metric\": \"pi_coverage\"}]}"),
         ParseError);
     // Type errors.
     EXPECT_THROW(
-        parse_thresholds(
+        gate::parse_rules(
             "{\"thresholds\": [{\"metric\": \"m\", \"min\": \"low\"}]}"),
         ParseError);
 }
@@ -388,7 +388,7 @@ std::vector<MetricRecord> sample_records() {
 }
 
 TEST(EvalGate, PassesWhenAllRulesHold) {
-    std::vector<Threshold> rules(3);
+    std::vector<gate::Rule> rules(3);
     rules[0].metric = "exponent_recovery";
     rules[0].noise = 0.0;
     rules[0].min = 1.0;
@@ -406,7 +406,7 @@ TEST(EvalGate, PassesWhenAllRulesHold) {
 }
 
 TEST(EvalGate, FlagsMinAndMaxViolations) {
-    std::vector<Threshold> rules(2);
+    std::vector<gate::Rule> rules(2);
     rules[0].metric = "smape_in_range";
     rules[0].max = 3.0;  // quadratic's 4.0 breaches this
     rules[1].metric = "pi_coverage";
@@ -419,9 +419,9 @@ TEST(EvalGate, FlagsMinAndMaxViolations) {
 }
 
 TEST(EvalGate, CaseAndNoiseSelectorsNarrowTheMatch) {
-    std::vector<Threshold> rules(1);
+    std::vector<gate::Rule> rules(1);
     rules[0].metric = "smape_in_range";
-    rules[0].case_name = "linear";
+    rules[0].scope = "linear";
     rules[0].noise = 0.05;
     rules[0].max = 3.0;  // quadratic's 4.0 must NOT trip this linear-only rule
     const GateResult res = check_gate(sample_records(), rules);
@@ -431,7 +431,7 @@ TEST(EvalGate, CaseAndNoiseSelectorsNarrowTheMatch) {
 
 TEST(EvalGate, UnmatchedRuleIsItselfAViolation) {
     // A renamed metric or removed case must not silently disable its gate.
-    std::vector<Threshold> rules(1);
+    std::vector<gate::Rule> rules(1);
     rules[0].metric = "no_such_metric";
     rules[0].min = 0.0;
     const GateResult res = check_gate(sample_records(), rules);
@@ -441,8 +441,8 @@ TEST(EvalGate, UnmatchedRuleIsItselfAViolation) {
 }
 
 TEST(EvalGate, ImpossibleThresholdsFixtureFailsTheGate) {
-    // The fixture backing the WILL_FAIL ctest (eval_accuracy_gate_negative)
-    // must stay unsatisfiable; if someone edits it into a passing document,
+    // The fixture backing the eval_accuracy_gate_negative ctest must stay
+    // unsatisfiable; if someone edits it into a passing document,
     // the negative test would silently stop proving anything.
     const auto rules = load_thresholds_file(
         std::string(EXTRADEEP_TEST_DATA_DIR) +

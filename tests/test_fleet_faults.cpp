@@ -76,7 +76,12 @@ struct FuzzRig {
     fs::path models;
 
     FuzzRig() {
-        models = fs::path(::testing::TempDir()) / "fleet-fuzz-models";
+        // One directory per test: ctest runs the tests of this suite as
+        // concurrent processes, which must not wipe each other's models.
+        const ::testing::TestInfo* test =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        models = fs::path(::testing::TempDir()) /
+                 (std::string("fleet-fuzz-models-") + test->name());
         fs::remove_all(models);
         fleet::FleetOptions opts;
         opts.models_dir = models.string();

@@ -281,23 +281,23 @@ TEST(PlanGate, EnforcesThresholdsOnRecords) {
         planner::plan_suite({find_case("linear")}, {0.0}, 1, noisy_options());
     const std::vector<eval::MetricRecord> records =
         planner::to_records(reports);
-    const eval::GateResult pass = planner::check_plan_gate(
-        records,
-        R"({"thresholds": [{"case": "*", "noise": 0.0,
-                            "metric": "cost_reduction_pct", "min": 30.0}]})");
+    const eval::GateResult pass = eval::check_gate(
+        records, gate::parse_rules(
+                     R"({"thresholds": [{"case": "*", "noise": 0.0,
+                         "metric": "cost_reduction_pct", "min": 30.0}]})"));
     EXPECT_TRUE(pass.pass);
-    const eval::GateResult fail = planner::check_plan_gate(
-        records,
-        R"({"thresholds": [{"case": "*", "noise": 0.0,
-                            "metric": "runs_used", "max": 0.0}]})");
+    const eval::GateResult fail = eval::check_gate(
+        records, gate::parse_rules(
+                     R"({"thresholds": [{"case": "*", "noise": 0.0,
+                         "metric": "runs_used", "max": 0.0}]})"));
     EXPECT_FALSE(fail.pass);
     ASSERT_FALSE(fail.violations.empty());
     EXPECT_NE(fail.violations[0].find("runs_used"), std::string::npos);
     // Unmatched rules are violations, not silent no-ops.
-    const eval::GateResult unmatched = planner::check_plan_gate(
-        records,
-        R"({"thresholds": [{"case": "*", "noise": 0.0,
-                            "metric": "no_such_metric", "min": 1.0}]})");
+    const eval::GateResult unmatched = eval::check_gate(
+        records, gate::parse_rules(
+                     R"({"thresholds": [{"case": "*", "noise": 0.0,
+                         "metric": "no_such_metric", "min": 1.0}]})"));
     EXPECT_FALSE(unmatched.pass);
 }
 
@@ -350,8 +350,7 @@ TEST(GateCore, ParsesEvalDialect) {
         R"({"thresholds": [
               {"case": "linear", "noise": 0.05, "metric": "smape", "max": 5.0},
               {"metric": "recovery", "min": 1.0}
-           ]})",
-        gate::RuleDocSpec{});
+           ]})");
     ASSERT_EQ(rules.size(), 2u);
     EXPECT_EQ(rules[0].scope, "linear");
     EXPECT_DOUBLE_EQ(rules[0].noise, 0.05);
@@ -361,34 +360,27 @@ TEST(GateCore, ParsesEvalDialect) {
     EXPECT_EQ(rules[1].scope, "*");
     EXPECT_LT(rules[1].noise, 0.0);
 
-    EXPECT_THROW(gate::parse_rules("[]", gate::RuleDocSpec{}), ParseError);
-    EXPECT_THROW(gate::parse_rules(R"({"thresholds": []})",
-                                   gate::RuleDocSpec{}),
-                 ParseError);
-    EXPECT_THROW(gate::parse_rules(
-                     R"({"thresholds": [{"metric": "m"}]})",
-                     gate::RuleDocSpec{}),
+    EXPECT_THROW(gate::parse_rules("[]"), ParseError);
+    EXPECT_THROW(gate::parse_rules(R"({"thresholds": []})"), ParseError);
+    EXPECT_THROW(gate::parse_rules(R"({"thresholds": [{"metric": "m"}]})"),
                  ParseError);
 }
 
 TEST(GateCore, ParsesServeDialect) {
-    gate::RuleDocSpec spec;
-    spec.what = "serve thresholds JSON";
-    spec.array_key = "rules";
-    spec.scope_key = "mode";
-    spec.parse_noise = false;
-    spec.require_bound = false;
-    spec.allow_empty = true;
+    // Serve load rules are written in the one thresholds dialect: the
+    // loadgen mode is the record case and noise stays a wildcard.
     const std::vector<gate::Rule> rules = gate::parse_rules(
-        R"({"rules": [{"mode": "closed", "metric": "qps", "min": 100.0},
-                      {"metric": "p99_us"}]})",
-        spec);
+        R"({"thresholds": [{"case": "closed", "metric": "qps", "min": 100.0},
+                           {"case": "*", "metric": "errors", "max": 0}]})");
     ASSERT_EQ(rules.size(), 2u);
     EXPECT_EQ(rules[0].scope, "closed");
-    // Boundless rules are legal in this dialect.
-    EXPECT_FALSE(rules[1].min.has_value());
-    EXPECT_FALSE(rules[1].max.has_value());
-    EXPECT_TRUE(gate::parse_rules(R"({"rules": []})", spec).empty());
+    EXPECT_LT(rules[0].noise, 0.0);
+    EXPECT_EQ(rules[1].scope, "*");
+    // The retired serve-only dialect is rejected, not half-read.
+    EXPECT_THROW(gate::parse_rules(
+                     R"({"rules": [{"mode": "closed", "metric": "qps",
+                                    "min": 100.0}]})"),
+                 ParseError);
 }
 
 }  // namespace

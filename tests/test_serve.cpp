@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "obs/clock.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/query.hpp"
@@ -837,59 +838,85 @@ TEST(LoadGen, RejectsBadOptions) {
     EXPECT_THROW(serve::run_load(lg), InvalidArgumentError);
 }
 
-std::vector<serve::LoadGenRecord> fake_records() {
-    serve::LoadGenRecord closed;
-    closed.mode = "closed";
-    closed.result.qps = 1000.0;
-    closed.result.latency_p99_us = 5000.0;
-    closed.result.error_responses = 0;
-    closed.result.responses_received = 400;
-    serve::LoadGenRecord open = closed;
-    open.mode = "open";
-    open.result.qps = 2000.0;
-    return {closed, open};
+std::vector<eval::MetricRecord> fake_records() {
+    serve::LoadGenResult closed;
+    closed.qps = 1000.0;
+    closed.latency_p99_us = 5000.0;
+    closed.error_responses = 0;
+    closed.responses_received = 400;
+    serve::LoadGenResult open = closed;
+    open.qps = 2000.0;
+    std::vector<eval::MetricRecord> records =
+        serve::to_records("closed", closed);
+    for (eval::MetricRecord& r : serve::to_records("open", open)) {
+        records.push_back(std::move(r));
+    }
+    return records;
+}
+
+eval::GateResult check(const std::vector<eval::MetricRecord>& records,
+                       const std::string& thresholds) {
+    return eval::check_gate(records, gate::parse_rules(thresholds));
 }
 
 TEST(LoadGen, ThresholdsPassAndFailCorrectly) {
     const auto records = fake_records();
-    EXPECT_TRUE(serve::check_load_thresholds(
-                    R"({"rules": [
-                        {"mode": "*", "metric": "errors", "max": 0},
-                        {"mode": "closed", "metric": "qps", "min": 500},
-                        {"mode": "open", "metric": "latency_p99_us",
-                         "max": 10000}]})",
-                    records)
-                    .empty());
+    const eval::GateResult ok = check(records, R"({"thresholds": [
+        {"case": "*", "metric": "errors", "max": 0},
+        {"case": "closed", "metric": "qps", "min": 500},
+        {"case": "open", "metric": "latency_p99_us", "max": 10000}]})");
+    EXPECT_TRUE(ok.pass);
+    EXPECT_EQ(ok.records_matched, 4u);  // errors x2, closed qps, open p99
     // min violated on the closed record only.
-    const auto min_violation = serve::check_load_thresholds(
-        R"({"rules": [{"mode": "closed", "metric": "qps", "min": 1500}]})",
-        records);
-    ASSERT_EQ(min_violation.size(), 1u);
-    EXPECT_NE(min_violation[0].find("below min"), std::string::npos);
+    const eval::GateResult min_violation =
+        check(records, R"({"thresholds": [
+                   {"case": "closed", "metric": "qps", "min": 1500}]})");
+    ASSERT_EQ(min_violation.violations.size(), 1u);
+    EXPECT_NE(min_violation.violations[0].find("closed"), std::string::npos);
+    EXPECT_NE(min_violation.violations[0].find("< min"), std::string::npos);
     // A wildcard rule checks every record: one of the two trips it.
-    EXPECT_EQ(serve::check_load_thresholds(
-                  R"({"rules": [{"mode": "*", "metric": "qps",
-                                 "max": 1500}]})",
-                  records)
-                  .size(),
+    EXPECT_EQ(check(records, R"({"thresholds": [{"case": "*", "metric": "qps",
+                                                 "max": 1500}]})")
+                  .violations.size(),
               1u);
 }
 
 TEST(LoadGen, StaleThresholdRuleIsAViolation) {
     const auto records = fake_records();
-    const auto violations = serve::check_load_thresholds(
-        R"({"rules": [{"mode": "burst", "metric": "qps", "min": 1}]})",
-        records);
-    ASSERT_EQ(violations.size(), 1u);
-    EXPECT_NE(violations[0].find("matched no measurement record"),
+    const eval::GateResult stale_mode = check(
+        records,
+        R"({"thresholds": [{"case": "burst", "metric": "qps", "min": 1}]})");
+    ASSERT_EQ(stale_mode.violations.size(), 1u);
+    EXPECT_NE(stale_mode.violations[0].find("matched no record"),
               std::string::npos);
-    const auto unknown = serve::check_load_thresholds(
-        R"({"rules": [{"mode": "*", "metric": "nosuch", "min": 1}]})",
-        records);
-    ASSERT_EQ(unknown.size(), 1u);
-    EXPECT_NE(unknown[0].find("unknown metric"), std::string::npos);
-    EXPECT_THROW(serve::check_load_thresholds(R"({"no_rules": []})", records),
-                 ParseError);
+    const eval::GateResult unknown = check(
+        records,
+        R"({"thresholds": [{"case": "*", "metric": "nosuch", "min": 1}]})");
+    ASSERT_EQ(unknown.violations.size(), 1u);
+    EXPECT_NE(unknown.violations[0].find("matched no record"),
+              std::string::npos);
+    EXPECT_THROW(check(records, R"({"no_thresholds": []})"), ParseError);
+}
+
+TEST(LoadGen, ReportUsesTheStandardRecordLayout) {
+    serve::LoadGenOptions options;
+    options.requests = {"ping"};
+    const std::string doc = serve::load_report_json(options, 2, fake_records(),
+                                                    "abc123");
+    const json::Value parsed = json::parse(doc, "BENCH_serve.json");
+    EXPECT_EQ(parsed.find("schema")->string, "extradeep-serve-bench/1");
+    EXPECT_EQ(parsed.find("git_rev")->string, "abc123");
+    const json::Value* config = parsed.find("config");
+    ASSERT_NE(config, nullptr);
+    EXPECT_DOUBLE_EQ(config->find("daemon_threads")->number, 2.0);
+    const json::Value* records = parsed.find("records");
+    ASSERT_NE(records, nullptr);
+    ASSERT_EQ(records->array.size(), fake_records().size());
+    const json::Value& first = records->array.front();
+    EXPECT_EQ(first.find("case")->string, "closed");
+    EXPECT_EQ(first.find("metric")->string, "qps");
+    ASSERT_NE(first.find("noise"), nullptr);
+    ASSERT_NE(first.find("seed"), nullptr);
 }
 
 }  // namespace

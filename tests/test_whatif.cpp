@@ -478,7 +478,7 @@ TEST(VerifyHarness, QuickSuiteEmitsWellFormedRecords) {
 
     // The JSON document parses and carries the schema marker.
     const std::string doc =
-        advisor::whatif_bench_json(outcome.records, "test");
+        eval::bench_json(outcome.records, "test", "extradeep-whatif/1");
     const json::Value parsed = json::parse(doc, "BENCH_whatif.json");
     const json::Value* schema = parsed.find("schema");
     ASSERT_NE(schema, nullptr);
