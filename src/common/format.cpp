@@ -1,6 +1,7 @@
 #include "common/format.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -69,9 +70,19 @@ std::string shortest(double value) {
     if (std::isnan(value)) return "nan";
     if (std::isinf(value)) return value > 0.0 ? "inf" : "-inf";
     char buf[64];
-    // Try increasing significand lengths until the rendering parses back to
-    // the identical bit pattern; 17 (max_digits10) always succeeds.
-    for (int digits = 1; digits <= 17; ++digits) {
+    // std::to_chars emits the shortest round-trip significand, so no
+    // precision below its digit count can round-trip and the search starts
+    // there. It still renders with %.*g and checks with strtod: %.*g rounds
+    // correctly rather than picking the closest round-tripping digits, so
+    // the first precision that parses back to the identical bit pattern may
+    // be one more; 17 (max_digits10) always succeeds.
+    const std::to_chars_result sci = std::to_chars(
+        buf, buf + sizeof(buf), value, std::chars_format::scientific);
+    int first = 0;
+    for (const char* c = buf; c != sci.ptr && *c != 'e'; ++c) {
+        first += *c >= '0' && *c <= '9' ? 1 : 0;
+    }
+    for (int digits = first; digits <= 17; ++digits) {
         std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
         char* end = nullptr;
         const double back = std::strtod(buf, &end);

@@ -1,6 +1,10 @@
 #include "common/student_t.hpp"
 
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/error.hpp"
@@ -124,11 +128,33 @@ double student_t_quantile(double p, double dof) {
     return 0.5 * (lo + hi);
 }
 
+namespace {
+
+// Memo of the two-sided 95 % critical values, indexed by integer dof. A
+// slot holds the bit pattern of the direct student_t_quantile result, or 0
+// while not yet computed (no critical value is +0.0). Threads racing on a
+// first use compute and store the same bits, so no lock is needed.
+std::array<std::atomic<std::uint64_t>, kCriticalMemoMaxDof + 1> g_t95_memo{};
+
+}  // namespace
+
 double student_t_critical(double confidence, double dof) {
     if (confidence <= 0.0 || confidence >= 1.0) {
         throw InvalidArgumentError("student_t_critical: confidence outside (0, 1)");
     }
-    return student_t_quantile(0.5 + confidence / 2.0, dof);
+    const double p = 0.5 + confidence / 2.0;
+    if (confidence != 0.95 || !(dof >= 1.0 && dof <= kCriticalMemoMaxDof) ||
+        dof != std::floor(dof)) {
+        return student_t_quantile(p, dof);
+    }
+    std::atomic<std::uint64_t>& slot =
+        g_t95_memo[static_cast<std::size_t>(dof)];
+    std::uint64_t bits = slot.load();
+    if (bits == 0) {
+        bits = std::bit_cast<std::uint64_t>(student_t_quantile(p, dof));
+        slot.store(bits);
+    }
+    return std::bit_cast<double>(bits);
 }
 
 }  // namespace extradeep::stats

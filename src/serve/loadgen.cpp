@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <deque>
@@ -14,35 +15,28 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/stats.hpp"
 #include "obs/clock.hpp"
-#include "obs/metrics.hpp"
 #include "serve/socket_util.hpp"
 
 namespace extradeep::serve {
 
 namespace {
 
-/// Cross-thread measurement sink for one load pass.
+/// Cross-thread counters for one load pass. Latencies are kept per
+/// connection (exact samples) and merged after the threads join.
 struct LoadStats {
     std::atomic<std::uint64_t> sent{0};
     std::atomic<std::uint64_t> received{0};
     std::atomic<std::uint64_t> errors{0};
-    std::atomic<std::uint64_t> max_us{0};
-    obs::Histogram* latency_us = nullptr;
 };
-
-void note_max(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
-    std::uint64_t seen = slot.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !slot.compare_exchange_weak(seen, value,
-                                       std::memory_order_relaxed)) {
-    }
-}
 
 /// One connection's request/response pump: non-blocking socket, poll-driven,
 /// so an open-loop send schedule cannot deadlock against unread responses
-/// (the kernel buffers fill, we keep draining the read side).
-void run_connection(const LoadGenOptions& options, LoadStats& stats) {
+/// (the kernel buffers fill, we keep draining the read side). Appends one
+/// latency sample (microseconds) per response to `latencies_us`.
+void run_connection(const LoadGenOptions& options, LoadStats& stats,
+                    std::vector<double>& latencies_us) {
     FdGuard fd(connect_to(options.host, options.port, options.timeout_ms));
     if (!set_nonblocking(fd.get())) {
         throw Error("loadgen: cannot set O_NONBLOCK");
@@ -146,8 +140,7 @@ void run_connection(const LoadGenOptions& options, LoadStats& stats) {
                 send_ts.pop_front();
                 const std::uint64_t us =
                     now_ns >= sent_ns ? (now_ns - sent_ns) / 1000 : 0;
-                stats.latency_us->observe(static_cast<double>(us));
-                note_max(stats.max_us, us);
+                latencies_us.push_back(static_cast<double>(us));
                 if (in.compare(start, 4, "err ") == 0) {
                     stats.errors.fetch_add(1, std::memory_order_relaxed);
                 }
@@ -183,11 +176,9 @@ LoadGenResult run_load(const LoadGenOptions& options) {
     if (options.requests.empty()) {
         throw InvalidArgumentError("loadgen: no request lines given");
     }
-    obs::MetricsRegistry metrics;
     LoadStats stats;
-    stats.latency_us = &metrics.histogram(
-        "extradeep_loadgen_latency_us",
-        obs::MetricsRegistry::default_latency_buckets_us());
+    std::vector<std::vector<double>> latencies_us(
+        static_cast<std::size_t>(options.connections));
 
     const obs::Clock& clock = obs::steady_clock_instance();
     const std::uint64_t start_ns = clock.now_ns();
@@ -196,12 +187,13 @@ LoadGenResult run_load(const LoadGenOptions& options) {
         static_cast<std::size_t>(options.connections));
     clients.reserve(static_cast<std::size_t>(options.connections));
     for (int c = 0; c < options.connections; ++c) {
-        clients.emplace_back([&options, &stats, &failures, c] {
+        clients.emplace_back([&options, &stats, &failures, &latencies_us,
+                              c] {
+            const auto i = static_cast<std::size_t>(c);
             try {
-                run_connection(options, stats);
+                run_connection(options, stats, latencies_us[i]);
             } catch (...) {
-                failures[static_cast<std::size_t>(c)] =
-                    std::current_exception();
+                failures[i] = std::current_exception();
             }
         });
     }
@@ -225,13 +217,17 @@ LoadGenResult run_load(const LoadGenOptions& options) {
                      ? static_cast<double>(result.responses_received) /
                            result.wall_seconds
                      : 0.0;
-    const obs::Histogram& h = *stats.latency_us;
-    result.latency_p50_us = h.quantile(0.50);
-    result.latency_p95_us = h.quantile(0.95);
-    result.latency_p99_us = h.quantile(0.99);
-    result.latency_mean_us =
-        h.count() > 0 ? h.sum() / static_cast<double>(h.count()) : 0.0;
-    result.latency_max_us = static_cast<double>(stats.max_us.load());
+    std::vector<double> all;
+    for (const std::vector<double>& samples : latencies_us) {
+        all.insert(all.end(), samples.begin(), samples.end());
+    }
+    if (!all.empty()) {
+        result.latency_p50_us = stats::quantile(all, 0.50);
+        result.latency_p95_us = stats::quantile(all, 0.95);
+        result.latency_p99_us = stats::quantile(all, 0.99);
+        result.latency_mean_us = stats::mean(all);
+        result.latency_max_us = *std::max_element(all.begin(), all.end());
+    }
     return result;
 }
 

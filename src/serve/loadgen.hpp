@@ -9,10 +9,9 @@
 namespace extradeep::serve {
 
 /// Load-generator client for the serve daemon: N concurrent connections,
-/// each issuing M pipelined requests, measuring end-to-end request latency
-/// into the observability subsystem's fixed-bucket histograms (the same
-/// instrument family the daemon's own `stats`/`metrics` verbs use), and
-/// reporting qps plus histogram-estimated p50/p95/p99. This is the
+/// each issuing M pipelined requests, recording every end-to-end request
+/// latency, and reporting qps plus exact p50/p95/p99 over the merged
+/// samples of all connections. This is the
 /// measurement half of the serve regression gate (`BENCH_serve.json`,
 /// `serve_bench_gate`), and doubles as an adversarial client for the
 /// event-loop tests.
@@ -48,8 +47,8 @@ struct LoadGenResult {
     std::uint64_t error_responses = 0;  ///< `err ...` protocol responses
     double wall_seconds = 0.0;
     double qps = 0.0;
-    /// Histogram-estimated quantiles (bucket upper edges, microseconds),
-    /// deterministic for a given latency sample set.
+    /// Exact quantiles of every response's latency (type-7 interpolation,
+    /// microseconds), deterministic for a given latency sample set.
     double latency_p50_us = 0.0;
     double latency_p95_us = 0.0;
     double latency_p99_us = 0.0;

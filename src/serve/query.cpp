@@ -343,6 +343,18 @@ std::string_view query_kind_name(QueryKind kind) {
     throw InvalidArgumentError("query_kind_name: unknown kind");
 }
 
+bool is_cheap_request(std::string_view request) {
+    // The verb is the first space-separated token, as in split_spaces.
+    const std::size_t start = request.find_first_not_of(' ');
+    if (start == std::string_view::npos) {
+        return false;
+    }
+    const std::string_view verb =
+        request.substr(start, request.find(' ', start) - start);
+    return verb == "predict" || verb == "speedup" || verb == "efficiency" ||
+           verb == "cost";
+}
+
 std::string escape_lines(const std::string& text) {
     std::string out;
     out.reserve(text.size());

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
@@ -44,6 +45,13 @@ struct QueryCounters {
     std::uint64_t total_latency_us = 0;
     std::uint64_t max_latency_us = 0;
 };
+
+/// True for a request of one of the cheap verbs: predict, speedup,
+/// efficiency and cost. Each answer is a model lookup plus a few
+/// closed-form evaluations, microseconds of work, so the daemon runs them on
+/// its event loop; every other request (and a malformed one) goes to the
+/// worker pool. Looks at the verb only: arguments are checked by execute().
+bool is_cheap_request(std::string_view request);
 
 /// Escapes a multi-line payload into the single-line response protocol
 /// ('\\' -> "\\\\", '\n' -> "\\n") and back. The `metrics` verb uses this:

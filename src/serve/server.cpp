@@ -28,13 +28,14 @@ constexpr std::uint64_t kListenerId = 0;
 constexpr std::uint64_t kWakeId = 1;
 constexpr std::uint64_t kFirstConnId = 2;
 
-/// Per-connection event-loop state. Requests are dispatched one at a time
-/// per connection (in_flight), which keeps responses in request order
+/// Per-connection event-loop state. Requests are answered one at a time
+/// per connection, in order: cheap verbs on the loop itself, the rest on
+/// the worker pool (in_flight), which keeps responses in request order
 /// without any cross-connection coordination.
 struct Conn {
     int fd = -1;
     std::string in;                    ///< received bytes, not yet parsed
-    std::deque<std::string> requests;  ///< parsed lines, not yet dispatched
+    std::deque<std::string> requests;  ///< parsed lines, not yet answered
     std::string out;                   ///< response bytes awaiting write
     std::uint32_t events = 0;          ///< epoll interest currently registered
     bool in_flight = false;  ///< one request is running on the worker pool
@@ -185,9 +186,12 @@ void ServeDaemon::loop() {
 
     const auto update_interest = [&](std::uint64_t id, Conn& c) {
         std::uint32_t want = 0;
-        // Backpressure: while the peer has not read max_write_buffer bytes
-        // of responses, stop reading new requests from it.
+        // Backpressure: stop reading new requests from a peer while it has
+        // parsed requests waiting behind one on the pool (so a pipelining
+        // client cannot queue unbounded input), or while it has not read
+        // max_write_buffer bytes of responses.
         const bool read_gated = c.closing || c.peer_eof ||
+                                !c.requests.empty() ||
                                 c.out.size() > options_.max_write_buffer;
         if (!read_gated) {
             want |= EPOLLIN;
@@ -242,9 +246,10 @@ void ServeDaemon::loop() {
         return true;
     };
 
-    /// Parses complete lines, dispatches at most one request (per-connection
-    /// serialization keeps responses in order), handles transport verbs, and
-    /// flushes. Returns false when the connection was closed.
+    /// Parses complete lines, answers queued requests in order until one
+    /// goes to the pool (cheap verbs run right here, on the loop), handles
+    /// transport verbs, and flushes. Returns false when the connection was
+    /// closed.
     const auto pump = [&](std::uint64_t id, Conn& c) -> bool {
         while (true) {
             const std::size_t nl = c.in.find('\n');
@@ -276,10 +281,15 @@ void ServeDaemon::loop() {
             }
             c.requests.push_back(std::move(line));
         }
-        if (!c.in_flight && !c.closing && !c.requests.empty()) {
+        while (!c.in_flight && !c.closing && !c.requests.empty()) {
             std::string line = std::move(c.requests.front());
             c.requests.pop_front();
-            if (line == "quit" || line == "shutdown") {
+            if (is_cheap_request(line)) {
+                // Microseconds of work: cheaper than the two thread hops
+                // of a pool round trip.
+                c.out += engine_->execute(line);
+                c.out += '\n';
+            } else if (line == "quit" || line == "shutdown") {
                 // Transport verbs, answered here: earlier pipelined requests
                 // already got their responses (they were ahead in the
                 // queue); later ones are dropped by contract.

@@ -25,9 +25,10 @@ struct ServerOptions {
     std::string host = "127.0.0.1";
     /// 0 = let the kernel pick an ephemeral port (read it back via port()).
     int port = 0;
-    /// Request-handling worker threads (dispatched onto the shared
-    /// common/parallel_for ThreadPool); 0 or negative = hardware
-    /// concurrency. The event loop itself runs on one additional thread.
+    /// Worker threads (a common/parallel_for ThreadPool) for every request
+    /// except the cheap verbs (predict, speedup, efficiency, cost), which
+    /// the event loop answers itself; 0 or negative = hardware concurrency.
+    /// The event loop runs on one additional thread.
     int threads = 4;
     /// Per-connection idle timeout: a connection with no readable progress
     /// and no request in flight for this long is disconnected, so a stalled
@@ -57,15 +58,21 @@ struct ServerOptions {
 /// first; responses to earlier pipelined requests are still delivered in
 /// order before the `ok bye`).
 ///
-/// Concurrency model (event loop, no head-of-line blocking): one thread
-/// runs an epoll loop over the non-blocking listener and all connection
-/// sockets, each with its own read/write buffer. Complete request lines are
-/// dispatched one at a time per connection onto the worker pool
-/// (ThreadPool::submit), so responses stay in request order per connection
-/// while connections never wait on each other — a slow, stalled, or
-/// pipelining client cannot delay anyone else, structurally. Results are
-/// deterministic for any client mix because every request is answered from
-/// an immutable registry snapshot and connections never share state.
+/// Concurrency model (event loop, bounded head-of-line blocking): one
+/// thread runs an epoll loop over the non-blocking listener and all
+/// connection sockets, each with its own read/write buffer. Complete
+/// request lines are answered one at a time per connection, in order. The
+/// cheap verbs (is_cheap_request: predict, speedup, efficiency, cost) run
+/// on the loop itself, microseconds each; every other request goes to the
+/// worker pool (ThreadPool::submit), and the requests queued behind it on
+/// that connection wait their turn. A connection is not read while it has
+/// parsed requests queued, so one readable event (at most 64 KiB) bounds
+/// both its queue and the inline work it can put on the loop. Connections
+/// never wait on each other's pool work: a slow, stalled, or pipelining
+/// client delays others by at most that one event's worth of cheap answers.
+/// Results are deterministic for any client mix because every request is
+/// answered from an immutable registry snapshot and connections never
+/// share state.
 ///
 /// Shutdown drain: a `shutdown` request (or stop()) closes the listener,
 /// then keeps serving until every live connection's already-received

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -12,10 +14,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -716,6 +723,197 @@ TEST(ServeDaemon, ClientSurvivesSignalInterruption) {
 }
 
 // ---------------------------------------------------------------------------
+// Cheap verbs on the event loop, reads gated on queued requests
+// ---------------------------------------------------------------------------
+
+/// Fleet handler whose `ingest` blocks until release(): it holds a pool
+/// worker for as long as a test needs one held.
+class BlockingFleetHandler : public serve::FleetHandler {
+public:
+    std::string handle_ingest(const std::string&, const std::string&) override {
+        std::unique_lock<std::mutex> lock(mutex_);
+        ++entered_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+        return "held";
+    }
+    std::string fleet_stats_line() override { return "blocking"; }
+    void attach_metrics(obs::MetricsRegistry&) override {}
+    void update_metrics() override {}
+
+    /// Waits (up to 10 s) until `n` ingests are blocked in the handler.
+    bool wait_entered(int n) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        return cv_.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return entered_ >= n; });
+    }
+
+    void release() {
+        std::lock_guard<std::mutex> lock(mutex_);
+        released_ = true;
+        cv_.notify_all();
+    }
+
+private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    int entered_ = 0;
+    bool released_ = false;
+};
+
+/// Releases the handler when a test leaves, failed assertions included, so
+/// the daemon's destructor never joins a worker that is still held. Declare
+/// it after the daemon: it must be destroyed first.
+struct ReleaseOnExit {
+    BlockingFleetHandler& handler;
+    ~ReleaseOnExit() { handler.release(); }
+};
+
+/// The largest value of the last field of a /proc/sys/net/ipv4/tcp_*mem
+/// file (the autotuning ceiling of a socket buffer), or 0 if unreadable.
+std::size_t tcp_buffer_ceiling(const char* path) {
+    std::ifstream in(path);
+    std::size_t min = 0;
+    std::size_t def = 0;
+    std::size_t max = 0;
+    return (in >> min >> def >> max) ? max : 0;
+}
+
+TEST(ServeDaemon, PipelinedRequestsBehindAHeldOneStopBeingRead) {
+    // Without read gating, every byte a client pipelines behind a slow
+    // request lands in the daemon's per-connection queue, without limit.
+    // With it, the daemon stops reading after one readable event, the
+    // kernel buffers fill and the client's send() blocks.
+    const std::size_t rmem = tcp_buffer_ceiling("/proc/sys/net/ipv4/tcp_rmem");
+    const std::size_t wmem = tcp_buffer_ceiling("/proc/sys/net/ipv4/tcp_wmem");
+    if (rmem == 0 || wmem == 0) {
+        GTEST_SKIP() << "TCP buffer ceilings unreadable";
+    }
+    auto engine = engine_over(test_model());
+    auto handler = std::make_shared<BlockingFleetHandler>();
+    engine->set_fleet_handler(handler);
+    serve::ServerOptions options;
+    options.threads = 2;
+    serve::ServeDaemon daemon(engine, options);
+    daemon.start();
+    ReleaseOnExit release{*handler};
+
+    serve::FdGuard fd(serve::connect_to("127.0.0.1", daemon.port(), 10000));
+    ASSERT_TRUE(serve::send_all(fd.get(), "ingest exp payload\n"));
+    ASSERT_TRUE(handler->wait_entered(1));
+    ASSERT_TRUE(serve::set_nonblocking(fd.get()));
+
+    // Padded lines (the grammar skips repeated spaces) keep the number of
+    // requests low for the bytes sent.
+    const std::string request =
+        "predict cifar10-weak 16" + std::string(1000, ' ');
+    const std::string line = request + "\n";
+    // Everything the client can get sent while the daemon does not read:
+    // both socket buffers at their ceilings, one readable event (16 x 4 KiB)
+    // in the queue and one partial line in the input buffer.
+    const std::size_t bound = rmem + wmem + 16 * 4096 + line.size();
+    std::size_t sent = 0;
+    bool blocked = false;
+    while (!blocked && sent < 2 * bound) {
+        const std::size_t offset = sent % line.size();
+        const ssize_t n = ::send(fd.get(), line.data() + offset,
+                                 line.size() - offset, MSG_NOSIGNAL);
+        if (n > 0) {
+            sent += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (n < 0 && errno == EINTR) {
+            continue;
+        }
+        ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+            << std::strerror(errno);
+        pollfd writable{fd.get(), POLLOUT, 0};
+        blocked = ::poll(&writable, 1, 500) == 0;
+    }
+    EXPECT_TRUE(blocked) << "daemon kept reading: " << sent << " bytes sent";
+    EXPECT_LE(sent, bound);
+
+    // Released, the held request answers first, then every pipelined one,
+    // in order.
+    handler->release();
+    const int flags = ::fcntl(fd.get(), F_GETFL);
+    ASSERT_EQ(::fcntl(fd.get(), F_SETFL, flags & ~O_NONBLOCK), 0);
+    const std::size_t partial = sent % line.size();
+    if (partial > 0) {
+        ASSERT_TRUE(serve::send_all(fd.get(), line.substr(partial)));
+    }
+    ::shutdown(fd.get(), SHUT_WR);
+    const std::size_t pipelined = (sent + line.size() - 1) / line.size();
+    const std::string expected = engine_over(test_model())->execute(request);
+    serve::LineReader reader(fd.get(), serve::kMaxRequestLine);
+    std::string response;
+    ASSERT_TRUE(reader.next_line(response));
+    EXPECT_EQ(response, "ok held");
+    for (std::size_t i = 0; i < pipelined; ++i) {
+        ASSERT_TRUE(reader.next_line(response)) << "response " << i;
+        ASSERT_EQ(response, expected) << "response " << i;
+    }
+    EXPECT_FALSE(reader.next_line(response));
+    EXPECT_EQ(reader.status(), serve::ReadStatus::Eof);
+}
+
+TEST(ServeDaemon, CheapVerbsAreAnsweredWhileEveryWorkerIsHeld) {
+    auto engine = engine_over(test_model());
+    auto handler = std::make_shared<BlockingFleetHandler>();
+    engine->set_fleet_handler(handler);
+    serve::ServerOptions options;
+    options.threads = 2;
+    serve::ServeDaemon daemon(engine, options);
+    daemon.start();
+    ReleaseOnExit release{*handler};
+
+    serve::FdGuard held(serve::connect_to("127.0.0.1", daemon.port(), 10000));
+    serve::FdGuard other(serve::connect_to("127.0.0.1", daemon.port(), 10000));
+    ASSERT_TRUE(serve::send_all(
+        held.get(), "ingest exp payload\npredict cifar10-weak 16\n"));
+    ASSERT_TRUE(serve::send_all(other.get(), "ingest exp payload\n"));
+    ASSERT_TRUE(handler->wait_entered(2));
+
+    // Both pool workers are held: the loop itself answers cheap verbs.
+    auto reference = engine_over(test_model());
+    const std::vector<std::string> cheap = {
+        "predict cifar10-weak 16", "speedup cifar10-weak 4 8",
+        "efficiency cifar10-weak 4 8", "cost cifar10-weak 8"};
+    const std::vector<std::string> answers =
+        serve::query_daemon("127.0.0.1", daemon.port(), cheap, 10000);
+    ASSERT_EQ(answers.size(), cheap.size());
+    for (std::size_t i = 0; i < cheap.size(); ++i) {
+        EXPECT_EQ(answers[i], reference->execute(cheap[i])) << cheap[i];
+    }
+
+    // The predict pipelined behind the held ingest waits its turn.
+    pollfd readable{held.get(), POLLIN, 0};
+    EXPECT_EQ(::poll(&readable, 1, 200), 0);
+    handler->release();
+    serve::LineReader reader(held.get(), serve::kMaxRequestLine);
+    std::string response;
+    ASSERT_TRUE(reader.next_line(response));
+    EXPECT_EQ(response, "ok held");
+    ASSERT_TRUE(reader.next_line(response));
+    EXPECT_EQ(response, reference->execute("predict cifar10-weak 16"));
+}
+
+TEST(QueryEngine, CheapRequestsAreTheFourClosedFormVerbs) {
+    for (const char* cheap :
+         {"predict m 4", "speedup m 4 8", "efficiency m 4 8", "cost m 4",
+          "  predict m 4", "predict", "cost"}) {
+        EXPECT_TRUE(serve::is_cheap_request(cheap)) << cheap;
+    }
+    for (const char* heavy :
+         {"search m 10 10 4", "whatif m 4 interconnect:2", "advise m 4",
+          "plan m 4 8", "ingest e p", "list", "stats", "metrics", "ping",
+          "reload", "fleet-stats", "quit", "shutdown", "", "   ",
+          "predictx m 4", "costs m 4"}) {
+        EXPECT_FALSE(serve::is_cheap_request(heavy)) << heavy;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Registry sharding
 // ---------------------------------------------------------------------------
 
@@ -802,8 +1000,13 @@ TEST(LoadGen, ClosedLoopMeasuresEveryResponse) {
     EXPECT_EQ(result.error_responses, 0u);
     EXPECT_GT(result.qps, 0.0);
     EXPECT_GT(result.wall_seconds, 0.0);
-    EXPECT_GE(result.latency_p99_us, result.latency_p50_us);
-    EXPECT_GE(result.latency_max_us, 0.0);
+    EXPECT_GE(result.latency_p95_us, result.latency_p50_us);
+    EXPECT_GE(result.latency_p99_us, result.latency_p95_us);
+    // Exact sample quantiles never exceed the largest sample (histogram
+    // bucket edges did: a 45 ms maximum reported a 50 ms p99).
+    EXPECT_LE(result.latency_p99_us, result.latency_max_us);
+    EXPECT_GE(result.latency_mean_us, 0.0);
+    EXPECT_LE(result.latency_mean_us, result.latency_max_us);
     daemon.stop();
     daemon.wait();
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -94,4 +98,55 @@ TEST(StudentTQuantile, ThrowsOnBadInput) {
 
 TEST(StudentTQuantile, MedianIsZero) {
     EXPECT_DOUBLE_EQ(stats::student_t_quantile(0.5, 3.0), 0.0);
+}
+
+// The memoised critical value must be the direct quantile bit for bit, on
+// both sides of the memo bound and for confidences that bypass the memo.
+TEST(StudentTCritical, MemoEqualsQuantileBitForBit) {
+    for (const double confidence : {0.9, 0.95, 0.99}) {
+        for (int dof = 1; dof <= stats::kCriticalMemoMaxDof + 8; ++dof) {
+            const double want =
+                stats::student_t_quantile(0.5 + confidence / 2.0, dof);
+            // Twice: the first call may fill the slot, the second reads it.
+            for (int pass = 0; pass < 2; ++pass) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              stats::student_t_critical(confidence, dof)),
+                          std::bit_cast<std::uint64_t>(want))
+                    << "confidence " << confidence << " dof " << dof;
+            }
+        }
+    }
+    // Non-integer dof bypasses the memo.
+    EXPECT_EQ(stats::student_t_critical(0.95, 2.5),
+              stats::student_t_quantile(0.975, 2.5));
+}
+
+TEST(StudentTCritical, FirstUseRaceFromFourThreads) {
+    std::vector<std::vector<std::uint64_t>> seen(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < seen.size(); ++t) {
+        threads.emplace_back([&seen, t] {
+            for (int dof = 1; dof <= stats::kCriticalMemoMaxDof; ++dof) {
+                seen[t].push_back(std::bit_cast<std::uint64_t>(
+                    stats::student_t_critical(0.95, dof)));
+            }
+        });
+    }
+    for (std::thread& th : threads) {
+        th.join();
+    }
+    for (int dof = 1; dof <= stats::kCriticalMemoMaxDof; ++dof) {
+        const std::uint64_t want = std::bit_cast<std::uint64_t>(
+            stats::student_t_quantile(0.975, dof));
+        for (const auto& values : seen) {
+            EXPECT_EQ(values[static_cast<std::size_t>(dof - 1)], want)
+                << "dof " << dof;
+        }
+    }
+}
+
+TEST(StudentTCritical, ValidatesBeforeTheMemo) {
+    EXPECT_THROW(stats::student_t_critical(0.0, 5.0), InvalidArgumentError);
+    EXPECT_THROW(stats::student_t_critical(1.0, 5.0), InvalidArgumentError);
+    EXPECT_THROW(stats::student_t_critical(0.95, 0.0), InvalidArgumentError);
 }

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/format.hpp"
@@ -117,6 +124,66 @@ TEST(Format, ShortestNonFinite) {
     EXPECT_EQ(fmt::shortest(std::numeric_limits<double>::quiet_NaN()), "nan");
     EXPECT_EQ(fmt::shortest(std::numeric_limits<double>::infinity()), "inf");
     EXPECT_EQ(fmt::shortest(-std::numeric_limits<double>::infinity()), "-inf");
+}
+
+namespace {
+
+/// The unseeded shortest-round-trip search: every precision from 1 up.
+/// fmt::shortest must render every double byte for byte like this.
+std::string reference_shortest(double value) {
+    if (std::isnan(value)) return "nan";
+    if (std::isinf(value)) return value > 0.0 ? "inf" : "-inf";
+    char buf[64];
+    for (int digits = 1; digits <= 17; ++digits) {
+        std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
+        char* end = nullptr;
+        const double back = std::strtod(buf, &end);
+        if (end != nullptr && *end == '\0' && back == value &&
+            std::signbit(back) == std::signbit(value)) {
+            return buf;
+        }
+    }
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+}
+
+}  // namespace
+
+TEST(Format, ShortestMatchesUnseededSearch) {
+    std::vector<double> cases = {0.0, -0.0, DBL_MAX, -DBL_MAX, DBL_MIN,
+                                 DBL_TRUE_MIN, 0.1, 1.0 / 3.0};
+    // Every power of two and its neighbours one ulp away, both signs: the
+    // round-trip interval is asymmetric exactly there.
+    for (int e = -1074; e <= 1023; ++e) {
+        const double p = std::ldexp(1.0, e);
+        for (const double v : {std::nextafter(p, 0.0), p,
+                               std::nextafter(p, DBL_MAX)}) {
+            cases.push_back(v);
+            cases.push_back(-v);
+        }
+    }
+    std::mt19937_64 rng(20260417);
+    // Subnormals: the smallest ones, then random mantissas.
+    for (std::uint64_t m = 1; m <= 2000; ++m) {
+        cases.push_back(std::bit_cast<double>(m));
+    }
+    for (int i = 0; i < 10000; ++i) {
+        cases.push_back(std::bit_cast<double>(rng() & ((1ULL << 52) - 1)));
+    }
+    // Random bit patterns over the whole range (NaN and inf included).
+    for (int i = 0; i < 100000; ++i) {
+        cases.push_back(std::bit_cast<double>(rng()));
+    }
+    std::size_t mismatches = 0;
+    for (const double v : cases) {
+        const std::string got = fmt::shortest(v);
+        const std::string want = reference_shortest(v);
+        if (got != want && ++mismatches <= 10) {
+            ADD_FAILURE() << std::hexfloat << v << ": got " << got
+                          << ", want " << want;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << cases.size() << " values";
 }
 
 TEST(Format, HexfloatRoundTripsEveryBit) {
