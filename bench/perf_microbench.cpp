@@ -72,11 +72,9 @@ void BM_ModelFit_2Terms(benchmark::State& state) {
 BENCHMARK(BM_ModelFit_2Terms)->Unit(benchmark::kMillisecond);
 
 // Fitter throughput over the full two-term hypothesis space (~1.4k
-// hypotheses per fit with the default exponent sets). Arg(0) is the thread
-// count, so comparing the Arg(1) and Arg(4) rows gives serial vs. parallel
-// hypotheses/sec directly; items_per_second is the headline number.
+// hypotheses per fit with the default exponent sets); one fit is serial.
+// items_per_second is the headline number.
 void BM_FitterHypothesisSearch(benchmark::State& state) {
-    const int threads = static_cast<int>(state.range(0));
     Rng rng(7);
     const std::vector<double> xs = {2, 4, 6, 8, 10, 12, 16, 24, 32, 48};
     std::vector<double> ys;
@@ -86,7 +84,6 @@ void BM_FitterHypothesisSearch(benchmark::State& state) {
     }
     modeling::FitOptions opts;
     opts.space.max_terms = 2;
-    opts.num_threads = threads;
     const modeling::ModelGenerator gen(opts);
     const int hypotheses_per_fit =
         gen.fit(xs, ys).quality().hypotheses_searched;
@@ -98,11 +95,7 @@ void BM_FitterHypothesisSearch(benchmark::State& state) {
     state.counters["hypotheses_per_fit"] =
         static_cast<double>(hypotheses_per_fit);
 }
-BENCHMARK(BM_FitterHypothesisSearch)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FitterHypothesisSearch)->Unit(benchmark::kMillisecond);
 
 void BM_TraceGeneration(benchmark::State& state) {
     const sim::TrainingSimulator simulator(

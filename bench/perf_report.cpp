@@ -5,13 +5,15 @@
 //   ingest    - writes a synthetic multi-configuration EDP corpus to disk,
 //               then times ingest_edp_files (MB/s) and records the peak-RSS
 //               growth of that pass (getrusage ru_maxrss delta), which must
-//               stay bounded by the largest rank block, not the corpus size.
-//   fitter    - hypothesis-search throughput (hypotheses/sec) over the
-//               two-term PMNF space at 1 and 4 threads.
+//               stay bounded by the largest rank block, not the corpus size
+//               (on --threads threads, default 4).
+//   fitter    - hypothesis-search throughput (hypotheses/sec) of one serial
+//               fit over the two-term PMNF space.
 //   gate      - optional perf_thresholds.json enforcement (exit 1 on
 //               violation), with deliberately loose machine-independent
 //               bounds: the gate catches order-of-magnitude cliffs (a
-//               quadratic ingest path, a serialised fitter), not jitter.
+//               quadratic ingest path, a slow hypothesis search), not
+//               jitter.
 //
 // Usage:
 //   extradeep-perf                      # full corpus (~128 MB)
@@ -165,7 +167,7 @@ struct FitterTiming {
 
 /// Times ModelGenerator::fit over the two-term search space until
 /// `budget_seconds` elapses (at least one fit).
-FitterTiming time_fitter(int threads, double budget_seconds) {
+FitterTiming time_fitter(double budget_seconds) {
     std::vector<double> xs = {2, 4, 6, 8, 10, 12, 16, 24, 32, 48};
     std::vector<double> ys;
     for (const double x : xs) {
@@ -173,7 +175,6 @@ FitterTiming time_fitter(int threads, double budget_seconds) {
     }
     modeling::FitOptions opts;
     opts.space.max_terms = 2;
-    opts.num_threads = threads;
     const modeling::ModelGenerator gen(opts);
 
     FitterTiming timing;
@@ -259,21 +260,12 @@ int main(int argc, char** argv) {
         add_record(records, "ingest_stream", "rss_delta_mb",
                    ingest.rss_delta_mb);
 
-        // --- fitter: hypotheses/sec per thread count.
-        std::vector<int> fit_threads = {1};
-        if (threads != 1) {
-            fit_threads.push_back(threads);
-        }
-        for (const int t : fit_threads) {
-            const FitterTiming ft = time_fitter(t, fit_budget);
-            const std::string name = "fitter_t" + std::to_string(t);
-            add_record(records, name, "hypotheses_per_sec",
-                       ft.hypotheses_per_sec);
-            if (t == 1) {
-                add_record(records, name, "hypotheses_per_fit",
-                           static_cast<double>(ft.hypotheses_per_fit));
-            }
-        }
+        // --- fitter: hypotheses/sec of one serial fit.
+        const FitterTiming ft = time_fitter(fit_budget);
+        add_record(records, "fitter_t1", "hypotheses_per_sec",
+                   ft.hypotheses_per_sec);
+        add_record(records, "fitter_t1", "hypotheses_per_fit",
+                   static_cast<double>(ft.hypotheses_per_fit));
 
         Table table({"case", "metric", "value"});
         for (const auto& r : records) {

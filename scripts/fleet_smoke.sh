@@ -37,6 +37,9 @@ spool="${workdir}/spool"
 mkdir -p "${models}" "${spool}"
 
 echo "== start fleet daemon (ephemeral port, spool watcher) =="
+# Created up front: the backgrounded redirect may not have run yet when the
+# LISTENING poll first reads the log.
+: > "${workdir}/fleet.log"
 "${fleet_bin}" serve --models "${models}" --spool "${spool}" \
     --threads 2 --fit-threads 2 --min-runs 5 --poll-ms 50 \
     > "${workdir}/fleet.log" 2>&1 &

@@ -26,8 +26,8 @@ trap cleanup EXIT
 
 echo "== traced fit: every sink enabled =="
 "${serve_bin}" fit --out "${workdir}/smoke.edpm" --name smoke \
-    --reps 2 --seed 3 --threads 2 \
-    --trace "chrome:${workdir}/trace.json,text:${workdir}/summary.txt,metrics:${workdir}/metrics.prom,edp:${workdir}/self.edp"
+    --reps 2 --seed 3 \
+    --trace "chrome:${workdir}/trace.json,text:${workdir}/summary.txt,metrics:${workdir}/metrics.prom,edp:${workdir}/self.edp,param:x1=2"
 for artifact in trace.json summary.txt metrics.prom self.edp; do
     [[ -s "${workdir}/${artifact}" ]] || {
         echo "FAIL: sink ${artifact} missing or empty"; exit 1
@@ -43,7 +43,7 @@ grep -q '"ph":"X"' "${workdir}/trace.json" || {
 echo "== validate self-profile EDP (strict parse) =="
 "${eval_bin}" --validate-edp "${workdir}/self.edp" | tee "${workdir}/edp.out"
 grep -q 'x1=2' "${workdir}/edp.out" || {
-    echo "FAIL: self-profile missing the x1=threads parameter"; exit 1
+    echo "FAIL: self-profile missing the param:x1=2 execution parameter"; exit 1
 }
 
 echo "== span summary covers the pipeline stages =="

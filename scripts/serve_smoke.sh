@@ -32,6 +32,9 @@ echo "== fit + export =="
 grep -q $'^EDPM\t1$' "${workdir}/smoke.edpm"
 
 echo "== start daemon (ephemeral port) =="
+# Created up front: the backgrounded redirect may not have run yet when the
+# LISTENING poll first reads the log.
+: > "${workdir}/serve.log"
 "${serve_bin}" serve --models "${workdir}" --threads 2 \
     > "${workdir}/serve.log" 2>&1 &
 server_pid=$!
@@ -81,6 +84,7 @@ echo "== deterministic stats/metrics: daemon vs library mode =="
 # metrics responses depend only on the request sequence - byte-identical
 # between a fresh daemon and offline ask mode.
 det_requests=("${requests[@]}" "stats" "metrics")
+: > "${workdir}/serve_det.log"
 "${serve_bin}" serve --models "${workdir}" --threads 1 --fake-clock 5 \
     > "${workdir}/serve_det.log" 2>&1 &
 det_pid=$!

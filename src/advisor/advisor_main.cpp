@@ -11,7 +11,7 @@
 // Usage:
 //   extradeep-advisor                        # full suite (3 cases)
 //   extradeep-advisor --quick                # gate subset (1 case)
-//   extradeep-advisor --seed 7 --threads 0 --reps 5
+//   extradeep-advisor --seed 7 --reps 5
 //   extradeep-advisor --out BENCH_whatif.json
 //   extradeep-advisor --thresholds whatif_thresholds.json  # exit 1 on violation
 
@@ -27,7 +27,7 @@ namespace {
 
 void usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--quick] [--seed N] [--threads N] [--reps N]\n"
+                 "usage: %s [--quick] [--seed N] [--reps N]\n"
                  "          [--out FILE] [--thresholds FILE]\n",
                  argv0);
 }
@@ -47,8 +47,6 @@ int main(int argc, char** argv) {
                 options.quick = true;
             } else if (arg == "--seed") {
                 options.seed = args.u64_value(arg);
-            } else if (arg == "--threads") {
-                options.fit_threads = args.int_value(arg);
             } else if (arg == "--reps") {
                 options.repetitions = args.int_value(arg);
             } else if (arg == "--out") {

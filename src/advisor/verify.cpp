@@ -20,7 +20,6 @@ struct VerifyCase {
 std::vector<VerifyCase> make_cases(const VerifyOptions& options) {
     ExperimentSpec base;
     base.seed = options.seed;
-    base.fit_threads = options.fit_threads;
     base.repetitions = 3;
     std::vector<VerifyCase> cases;
     cases.push_back({"cifar10-deep-weak", base});

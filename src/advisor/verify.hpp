@@ -15,8 +15,6 @@ struct VerifyOptions {
     /// suite adds strong scaling and a JURECA (NCCL) case.
     bool quick = false;
     std::uint64_t seed = 1;
-    /// Threads for the model-fitting stage (0 = hardware concurrency).
-    int fit_threads = 1;
     /// Paired ground-truth re-simulations per scenario; 0 = suite default.
     int repetitions = 0;
 };

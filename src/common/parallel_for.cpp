@@ -1,7 +1,8 @@
 #include "common/parallel_for.hpp"
 
-#include <algorithm>
 #include <atomic>
+#include <exception>
+#include <latch>
 #include <stdexcept>
 
 namespace extradeep {
@@ -34,7 +35,7 @@ ThreadPool::ThreadPool(int num_threads) {
     const int threads = resolve_num_threads(num_threads);
     workers_.reserve(static_cast<std::size_t>(threads - 1));
     for (int i = 1; i < threads; ++i) {
-        workers_.emplace_back([this, i] { worker_loop(i); });
+        workers_.emplace_back([this] { worker_loop(); });
     }
 }
 
@@ -49,88 +50,29 @@ ThreadPool::~ThreadPool() {
     }
 }
 
-void ThreadPool::record_error(int chunk_index, std::exception_ptr error) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (error_chunk_ < 0 || chunk_index < error_chunk_) {
-        error_chunk_ = chunk_index;
-        error_ = std::move(error);
-    }
-}
-
-void ThreadPool::run_chunk(int chunk_index) {
-    const std::size_t threads = static_cast<std::size_t>(thread_count());
-    const std::size_t begin =
-        job_count_ * static_cast<std::size_t>(chunk_index) / threads;
-    const std::size_t end =
-        job_count_ * (static_cast<std::size_t>(chunk_index) + 1) / threads;
-    if (begin >= end) {
-        return;
-    }
-    const TaskContextHook* hook = task_context_hook();
-    std::uint64_t previous = 0;
-    if (hook != nullptr) {
-        previous = hook->install(job_context_);
-    }
-    try {
-        (*job_body_)(chunk_index, begin, end);
-    } catch (...) {
-        record_error(chunk_index, std::current_exception());
-    }
-    if (hook != nullptr) {
-        hook->restore(previous);
-    }
-}
-
-void ThreadPool::run_task(Task task) {
-    const TaskContextHook* hook = task_context_hook();
-    std::uint64_t previous = 0;
-    if (hook != nullptr) {
-        previous = hook->install(task.context);
-    }
-    // Deliberately no try/catch: detached tasks have no join point to
-    // rethrow at, so an escaping exception terminates (documented contract).
-    task.body();
-    if (hook != nullptr) {
-        hook->restore(previous);
-    }
-}
-
-void ThreadPool::worker_loop(int chunk_index) {
-    std::uint64_t seen_generation = 0;
+void ThreadPool::worker_loop() {
     while (true) {
         Task task;
-        bool have_task = false;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            start_cv_.wait(lock, [&] {
-                return stop_ || generation_ != seen_generation ||
-                       !tasks_.empty();
-            });
+            start_cv_.wait(lock, [&] { return stop_ || !tasks_.empty(); });
             if (stop_) {
                 return;
             }
-            if (generation_ != seen_generation) {
-                // A fork-join job takes priority: the caller is blocked on
-                // its barrier, queued tasks are not blocked on anything.
-                seen_generation = generation_;
-            } else {
-                task = std::move(tasks_.front());
-                tasks_.pop_front();
-                have_task = true;
-            }
+            task = std::move(tasks_.front());
+            tasks_.pop_front();
         }
-        if (have_task) {
-            run_task(std::move(task));
-            continue;
+        const TaskContextHook* hook = task_context_hook();
+        std::uint64_t previous = 0;
+        if (hook != nullptr) {
+            previous = hook->install(task.context);
         }
-        run_chunk(chunk_index);
-        bool last = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            last = --pending_ == 0;
-        }
-        if (last) {
-            done_cv_.notify_all();
+        // Deliberately no try/catch: detached tasks have no join point to
+        // rethrow at, so an escaping exception terminates (documented
+        // contract). parallel_for chunks catch their own.
+        task.body();
+        if (hook != nullptr) {
+            hook->restore(previous);
         }
     }
 }
@@ -163,45 +105,34 @@ void ThreadPool::parallel_for(
     if (count == 0) {
         return;
     }
-    if (workers_.empty()) {
-        // Single-threaded pool: run inline, preserving the chunk interface.
-        body(0, 0, count);
-        return;
+    const std::size_t threads = static_cast<std::size_t>(thread_count());
+    std::vector<std::exception_ptr> errors(threads);
+    const auto run_chunk = [&](std::size_t chunk) {
+        const std::size_t begin = count * chunk / threads;
+        const std::size_t end = count * (chunk + 1) / threads;
+        if (begin >= end) {
+            return;
+        }
+        try {
+            body(static_cast<int>(chunk), begin, end);
+        } catch (...) {
+            errors[chunk] = std::current_exception();
+        }
+    };
+    std::latch done(static_cast<std::ptrdiff_t>(threads - 1));
+    for (std::size_t c = 1; c < threads; ++c) {
+        submit([&, c] {
+            run_chunk(c);
+            done.count_down();
+        });
     }
-    const TaskContextHook* hook = task_context_hook();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job_count_ = count;
-        job_context_ = hook != nullptr ? hook->capture() : 0;
-        job_body_ = &body;
-        error_chunk_ = -1;
-        error_ = nullptr;
-        pending_ = static_cast<int>(workers_.size());
-        ++generation_;
-    }
-    start_cv_.notify_all();
     run_chunk(0);  // the caller is chunk 0
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [&] { return pending_ == 0; });
-        job_body_ = nullptr;
-        if (error_) {
-            std::exception_ptr err = std::move(error_);
-            error_ = nullptr;
-            lock.unlock();
-            std::rethrow_exception(err);
+    done.wait();
+    for (const auto& error : errors) {
+        if (error) {
+            std::rethrow_exception(error);
         }
     }
-}
-
-void parallel_for(std::size_t count, int num_threads,
-                  const std::function<void(int, std::size_t, std::size_t)>& body) {
-    const int threads =
-        static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(resolve_num_threads(num_threads)),
-            std::max<std::size_t>(count, 1)));
-    ThreadPool pool(threads);
-    pool.parallel_for(count, body);
 }
 
 }  // namespace extradeep

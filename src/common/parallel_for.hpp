@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -16,18 +15,18 @@ namespace extradeep {
 /// else (0 or negative) means "use the hardware concurrency" (at least 1).
 int resolve_num_threads(int requested);
 
-/// Caller-context propagation for parallel_for, so higher layers can carry
-/// thread-local ambient state (e.g. the observability tracer's current-span
-/// id, src/obs) from the dispatching thread onto the worker threads without
-/// this low-level library depending on them.
+/// Caller-context propagation for ThreadPool tasks, so higher layers can
+/// carry thread-local ambient state (e.g. the observability tracer's
+/// current-span id, src/obs) from the dispatching thread onto the worker
+/// threads without this low-level library depending on them.
 ///
-/// `capture` runs on the calling thread at parallel_for dispatch and
-/// returns an opaque token; around every chunk, `install(token)` runs on
-/// the executing thread (returning that thread's previous token) and
-/// `restore(previous)` afterwards, exception paths included. All three are
-/// plain function pointers: when no hook is registered the cost is one
-/// relaxed atomic load per parallel_for, and hook implementations are
-/// expected to be a thread-local read/write each.
+/// `capture` runs on the calling thread at submit() (and so at parallel_for
+/// dispatch) and returns an opaque token; around every task run on a
+/// worker, `install(token)` runs on that worker (returning its previous
+/// token) and `restore(previous)` afterwards. All three are plain function
+/// pointers: when no hook is registered the cost is one relaxed atomic load
+/// per task, and hook implementations are expected to be a thread-local
+/// read/write each.
 struct TaskContextHook {
     std::uint64_t (*capture)();
     std::uint64_t (*install)(std::uint64_t token);
@@ -41,13 +40,12 @@ struct TaskContextHook {
 void set_task_context_hook(const TaskContextHook* hook);
 const TaskContextHook* task_context_hook();
 
-/// A small reusable fork-join thread pool for data-parallel loops. Workers
-/// are spawned once and reused across parallel_for calls, so the pool can be
-/// hoisted out of hot loops (e.g. one pool per model-generation pass).
+/// A small reusable thread pool with one FIFO task queue. Workers are
+/// spawned once and reused, so the pool can be hoisted out of hot loops.
 ///
-/// The pool always counts the calling thread as worker 0: a pool of size T
-/// spawns T - 1 background threads and runs one chunk on the caller, so
-/// ThreadPool(1) degenerates to an inline loop with zero threading overhead.
+/// The pool counts the calling thread as worker 0: a pool of size T spawns
+/// T - 1 background threads, and parallel_for runs one chunk on the caller,
+/// so ThreadPool(1) degenerates to an inline loop that spawns no thread.
 class ThreadPool {
 public:
     /// `num_threads` is resolved via resolve_num_threads.
@@ -63,10 +61,15 @@ public:
 
     /// Splits [0, count) into one contiguous chunk per thread (chunk c covers
     /// [count*c/T, count*(c+1)/T)) and runs `body(chunk_index, begin, end)`
-    /// on every non-empty chunk concurrently. Blocks until all chunks have
+    /// on every non-empty chunk concurrently: chunks 1..T-1 go through the
+    /// task queue, chunk 0 runs on the caller. Blocks until all chunks have
     /// finished. If any chunk throws, the exception from the lowest chunk
     /// index is rethrown on the caller after all chunks complete, which keeps
     /// error reporting deterministic across thread counts.
+    ///
+    /// The chunks queue behind any task already submitted, so a parallel_for
+    /// on a pool with queued submit() tasks waits for them first; no pool
+    /// mixes the two. Must not be called from a task of the same pool.
     void parallel_for(std::size_t count,
                       const std::function<void(int chunk, std::size_t begin,
                                                std::size_t end)>& body);
@@ -74,19 +77,16 @@ public:
     /// Request-level dispatch: enqueues one independent task that an idle
     /// background worker picks up FIFO and runs to completion, without any
     /// barrier — tasks never wait on each other, which is what the serve
-    /// plane needs so one slow request cannot stall another (no fork-join
-    /// head-of-line blocking). The TaskContextHook token is captured at
-    /// submit time and installed around the task, exactly as parallel_for
-    /// does for chunks. Tasks must not throw (an escaped exception
-    /// terminates the process — there is no join point to rethrow at).
+    /// plane needs so one slow request cannot stall another. The
+    /// TaskContextHook token is captured at submit time and installed around
+    /// the task. Tasks must not throw (an escaped exception terminates the
+    /// process — there is no join point to rethrow at).
     ///
     /// Only background workers run tasks (the calling thread never does), so
     /// the pool must have thread_count() >= 2; submit on a degenerate
     /// single-thread pool throws. Tasks still queued when the pool is
     /// destroyed are dropped; tasks already running always complete before
-    /// the destructor returns. Mixing submit() and parallel_for() on one
-    /// pool is allowed; a dispatched fork-join job takes priority over
-    /// queued tasks on each worker.
+    /// the destructor returns.
     void submit(std::function<void()> task);
 
     /// Tasks enqueued via submit() and not yet picked up by a worker.
@@ -98,34 +98,14 @@ private:
         std::uint64_t context = 0;  ///< TaskContextHook token of the submitter
     };
 
-    void worker_loop(int chunk_index);
-    void run_chunk(int chunk_index);
-    void run_task(Task task);
-    void record_error(int chunk_index, std::exception_ptr error);
+    void worker_loop();
 
     std::vector<std::thread> workers_;
 
     mutable std::mutex mutex_;
     std::condition_variable start_cv_;
-    std::condition_variable done_cv_;
-    std::uint64_t generation_ = 0;
-    int pending_ = 0;
     bool stop_ = false;
     std::deque<Task> tasks_;
-
-    // State of the in-flight parallel_for.
-    std::size_t job_count_ = 0;
-    std::uint64_t job_context_ = 0;  ///< TaskContextHook token of the caller
-    const std::function<void(int, std::size_t, std::size_t)>* job_body_ = nullptr;
-    int error_chunk_ = -1;
-    std::exception_ptr error_;
 };
-
-/// One-shot convenience: runs `body` over [0, count) with a transient pool of
-/// `num_threads` threads (resolved via resolve_num_threads). Prefer a named
-/// ThreadPool when calling repeatedly.
-void parallel_for(std::size_t count, int num_threads,
-                  const std::function<void(int chunk, std::size_t begin,
-                                           std::size_t end)>& body);
 
 }  // namespace extradeep

@@ -37,7 +37,7 @@ void usage(const char* argv0) {
     std::fprintf(
         stderr,
         "usage: %s [--quick] [--case NAME]... [--noise S1,S2,...] [--seed N]\n"
-        "          [--threads N] [--out FILE] [--thresholds FILE]\n"
+        "          [--out FILE] [--thresholds FILE]\n"
         "          [--keep-files] [--list] [--trace SPEC]\n"
         "          [--validate-json FILE] [--validate-edp FILE]\n",
         argv0);
@@ -106,8 +106,6 @@ int main(int argc, char** argv) {
                 noise_levels = cli::parse_noise_list(args.value(arg));
             } else if (arg == "--seed") {
                 options.seed = args.u64_value(arg);
-            } else if (arg == "--threads") {
-                options.fit_threads = args.int_value(arg);
             } else if (arg == "--out") {
                 out_path = args.value(arg);
             } else if (arg == "--thresholds") {
@@ -143,7 +141,7 @@ int main(int argc, char** argv) {
             return validate_edp_file(validate_edp_path);
         }
 
-        const auto session = cli::open_obs_session(trace, options.fit_threads);
+        const auto session = cli::open_obs_session(trace, std::nullopt);
         if (list) {
             for (const auto& c : cases) {
                 std::printf("%-18s %zu params, %zu points: %s\n",

@@ -300,9 +300,7 @@ CaseScore score_case(const OracleCase& oracle, const ScoreOptions& options) {
     score.runs_kept = recovered.runs_kept;
 
     // (3) Model generation.
-    modeling::FitOptions fit_options;
-    fit_options.num_threads = options.fit_threads;
-    const modeling::ModelGenerator generator(fit_options);
+    const modeling::ModelGenerator generator;
     const obs::Clock& clock =
         options.clock != nullptr ? *options.clock : obs::steady_clock_instance();
     const std::uint64_t t0 = clock.now_ns();

@@ -20,8 +20,6 @@ struct ScoreOptions {
     /// keep_files is set.
     std::string work_dir;
     bool keep_files = false;
-    /// Threads for the hypothesis search (FitOptions::num_threads).
-    int fit_threads = 1;
     /// Confidence level of the scored prediction intervals.
     double confidence = 0.95;
     /// Fresh aggregated observations drawn per coverage point.

@@ -1,10 +1,9 @@
 #include "extradeep/ingest.hpp"
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -231,41 +230,6 @@ IngestResult ingest_streamed_runs(std::span<std::vector<StreamedRun>> configs,
     return result;
 }
 
-/// Runs `work(i)` for every i in [0, count) on `num_threads` threads via
-/// the ThreadPool submit lane (request-level dispatch, no barrier until the
-/// final join). `work` must not throw — wrap and capture exceptions.
-void for_each_submitted(std::size_t count, int num_threads,
-                        const std::function<void(std::size_t)>& work) {
-    const int threads =
-        static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(resolve_num_threads(num_threads)),
-            count));
-    if (threads < 2) {
-        for (std::size_t i = 0; i < count; ++i) {
-            work(i);
-        }
-        return;
-    }
-    // +1: submit() runs tasks on background workers only; the caller just
-    // waits, so `threads` digests run concurrently.
-    ThreadPool pool(threads + 1);
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining = count;
-    for (std::size_t i = 0; i < count; ++i) {
-        pool.submit([&, i] {
-            work(i);
-            {
-                const std::lock_guard<std::mutex> lock(mutex);
-                --remaining;
-            }
-            done.notify_one();
-        });
-    }
-    std::unique_lock<std::mutex> lock(mutex);
-    done.wait(lock, [&] { return remaining == 0; });
-}
-
 }  // namespace
 
 std::string IngestResult::summary() const {
@@ -321,11 +285,21 @@ IngestResult ingest_edp_files(std::span<const std::string> paths,
         std::exception_ptr error;
     };
     std::vector<Slot> slots(paths.size());
-    for_each_submitted(paths.size(), options.num_threads, [&](std::size_t i) {
-        try {
-            slots[i].file = stream_digest_file(paths[i], options);
-        } catch (...) {
-            slots[i].error = std::current_exception();
+    // Each thread (the caller included) pulls the next file index, so files
+    // of unequal size still balance across threads.
+    const int threads = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(resolve_num_threads(options.num_threads)),
+        std::max<std::size_t>(paths.size(), 1)));
+    std::atomic<std::size_t> next{0};
+    ThreadPool pool(threads);
+    pool.parallel_for(static_cast<std::size_t>(threads),
+                      [&](int, std::size_t, std::size_t) {
+        for (std::size_t i = next++; i < paths.size(); i = next++) {
+            try {
+                slots[i].file = stream_digest_file(paths[i], options);
+            } catch (...) {
+                slots[i].error = std::current_exception();
+            }
         }
     });
 

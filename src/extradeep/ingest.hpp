@@ -40,9 +40,10 @@ struct IngestOptions {
     std::string primary_parameter = "x1";
     /// Threads for the per-file stage of ingest_edp_files (parse/digest is
     /// embarrassingly parallel across files; grouping and aggregation stay
-    /// sequential and deterministic). 1 = sequential; 0 or negative = use
-    /// the hardware concurrency. Peak memory scales with the number of
-    /// files in flight, i.e. with this value, times one rank block.
+    /// sequential and deterministic). The calling thread is one of them.
+    /// 1 = sequential; 0 or negative = use the hardware concurrency. Peak
+    /// memory scales with the number of files in flight, i.e. with this
+    /// value, times one rank block.
     int num_threads = 1;
 };
 

@@ -148,10 +148,6 @@ std::vector<KernelModelEntry> model_kernels(
         static_cast<std::size_t>(
             resolve_num_threads(generator.options().num_threads)),
         std::max<std::size_t>(tasks.size(), 1)));
-    modeling::FitOptions per_kernel_options = generator.options();
-    per_kernel_options.num_threads = threads > 1 ? 1 : generator.options().num_threads;
-    const modeling::ModelGenerator per_kernel_generator(per_kernel_options);
-
     std::vector<KernelModelEntry> out(tasks.size());
     ThreadPool pool(threads);
     pool.parallel_for(tasks.size(), [&](int, std::size_t begin,
@@ -162,9 +158,9 @@ std::vector<KernelModelEntry> model_kernels(
             entry.name = task.name;
             entry.category = task.category;
             entry.metric = task.metric;
-            entry.model = EpochModel(
-                per_kernel_generator.fit(task.xs, task.train_values),
-                per_kernel_generator.fit(task.xs, task.val_values), steps);
+            entry.model = EpochModel(generator.fit(task.xs, task.train_values),
+                                     generator.fit(task.xs, task.val_values),
+                                     steps);
         }
     });
     return out;

@@ -65,9 +65,7 @@ StepMathFn ExperimentRunner::step_math_fn() const {
 }
 
 modeling::ModelGenerator ExperimentRunner::default_generator() const {
-    modeling::FitOptions options;
-    options.num_threads = spec_.fit_threads;
-    return modeling::ModelGenerator(options);
+    return modeling::ModelGenerator();
 }
 
 ExperimentResult ExperimentRunner::run() const {

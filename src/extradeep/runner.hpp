@@ -31,10 +31,6 @@ struct ExperimentSpec {
     int repetitions = 5;
     profiling::SamplingStrategy sampling = profiling::SamplingStrategy::efficient();
     std::uint64_t seed = 1;
-    /// Threads for the model-generation stage (hypothesis search and the
-    /// per-kernel fit loop). 1 = serial, 0 = hardware concurrency. Results
-    /// are bit-identical at any thread count.
-    int fit_threads = 1;
 
     std::string describe() const;
 };

@@ -43,7 +43,7 @@ FleetService::FleetService(FleetOptions options,
       clock_(options_.clock != nullptr ? options_.clock
                                        : &obs::steady_clock_instance()),
       spool_(options_.spool_dir),
-      pool_(std::max(options_.fit_threads, 1) + 1) {
+      pool_(options_.fit_threads + 1) {
     if (registry_ == nullptr) {
         throw InvalidArgumentError("FleetService: null registry");
     }
@@ -55,6 +55,9 @@ FleetService::FleetService(FleetOptions options,
         throw InvalidArgumentError(
             "FleetService: require min_runs >= 1, window >= 1, "
             "max_pending >= min_runs");
+    }
+    if (options_.fit_threads < 1) {
+        throw InvalidArgumentError("FleetService: require fit_threads >= 1");
     }
     std::error_code ec;
     fs::create_directories(options_.models_dir, ec);
@@ -290,11 +293,9 @@ void FleetService::run_fit_job(FitJob job) {
                 total_train.push_back(train_sum);
                 total_val.push_back(val_sum);
             }
-            // Serial fit per job: refit parallelism comes from concurrent
-            // jobs on the pool, and serial fits are bit-deterministic.
-            modeling::FitOptions fit_opts;
-            fit_opts.num_threads = 1;
-            const modeling::ModelGenerator generator(fit_opts);
+            // Refit parallelism comes from concurrent jobs on the pool;
+            // each fit is serial.
+            const modeling::ModelGenerator generator;
             result.epoch_time =
                 EpochModel(generator.fit(result.modeling_xs, total_train),
                            generator.fit(result.modeling_xs, total_val),

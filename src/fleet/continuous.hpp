@@ -47,7 +47,8 @@ struct FleetOptions {
     /// Re-fits aggregate over the window, so the model tracks drift with a
     /// memory of `window` runs per point.
     int window = 6;
-    /// Background fit workers (the refit ThreadPool). >= 1.
+    /// Background fit workers (the refit ThreadPool); each refit job is
+    /// one serial fit. Must be >= 1 (the constructor rejects less).
     int fit_threads = 2;
     /// Upper bound on one `ingest` payload (escaped bytes).
     std::size_t max_payload_bytes = 8u << 20;

@@ -9,7 +9,6 @@
 #include <tuple>
 
 #include "common/error.hpp"
-#include "common/parallel_for.hpp"
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -409,75 +408,46 @@ PerformanceModel ModelGenerator::fit(
         dedupe_hypotheses(hypotheses);
     }
 
-    // Fit all hypotheses and select by (penalised) cross-validated SMAPE.
-    // The loop is embarrassingly parallel: every hypothesis fit only reads
-    // the shared factor-column cache, and each chunk reduces into its own
-    // (score, index, fit) slot. Chunks are merged in index order with ties
-    // broken by the smaller hypothesis index, which reproduces the serial
-    // first-strict-minimum selection bit for bit at any thread count.
+    // Fit all hypotheses and select by (penalised) cross-validated SMAPE:
+    // the first strict minimum wins, so ties go to the smaller hypothesis
+    // index. One fit is serial; callers spend threads across fits.
     const FactorColumnCache cache(hypotheses, points);
-    const int threads = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(resolve_num_threads(options_.num_threads)),
-        std::max<std::size_t>(hypotheses.size(), 1)));
-    struct ChunkBest {
-        double score = std::numeric_limits<double>::infinity();
-        std::size_t index = 0;
-        HypothesisFit fit;
-        bool any = false;
-    };
-    std::vector<ChunkBest> chunk_best(static_cast<std::size_t>(threads));
-    std::vector<FitScratch> scratch(static_cast<std::size_t>(threads));
     if (obs::trace_enabled()) {
         obs::global_metrics()
             .counter("extradeep_fit_hypotheses_total")
             .increment(hypotheses.size());
         obs::global_metrics().counter("extradeep_fit_models_total").increment();
     }
-    ThreadPool pool(threads);
-    pool.parallel_for(
-        hypotheses.size(),
-        [&](int chunk, std::size_t begin, std::size_t end) {
-            // Per-chunk span: under the TaskContextHook these nest below
-            // fit.model even on worker threads, so the exported trace shows
-            // the search's parallel structure per thread.
-            const obs::Span chunk_span{"fit.hypothesis_chunk"};
-            ChunkBest& best = chunk_best[static_cast<std::size_t>(chunk)];
-            FitScratch& chunk_scratch = scratch[static_cast<std::size_t>(chunk)];
-            for (std::size_t i = begin; i < end; ++i) {
-                auto f = fit_hypothesis(hypotheses[i], cache, values,
-                                        chunk_scratch);
-                if (!f.valid) {
-                    continue;
-                }
-                const double score =
-                    f.cv_smape *
-                    (1.0 + options_.term_penalty *
-                               static_cast<double>(hypotheses[i].size()));
-                if (!best.any || score < best.score) {
-                    best.score = score;
-                    best.index = i;
-                    best.fit = std::move(f);
-                    best.any = true;
-                }
+    double best_score = std::numeric_limits<double>::infinity();
+    std::size_t best_index = 0;
+    HypothesisFit best_fit;
+    {
+        // One span around the whole search; obs_smoke and the ledger's
+        // modeling.chunk_self_ms read it under this name.
+        const obs::Span chunk_span{"fit.hypothesis_chunk"};
+        FitScratch scratch;
+        for (std::size_t i = 0; i < hypotheses.size(); ++i) {
+            auto f = fit_hypothesis(hypotheses[i], cache, values, scratch);
+            if (!f.valid) {
+                continue;
             }
-        });
-    const ChunkBest* winner = nullptr;
-    for (const auto& b : chunk_best) {
-        if (!b.any) {
-            continue;
-        }
-        if (winner == nullptr || b.score < winner->score ||
-            (b.score == winner->score && b.index < winner->index)) {
-            winner = &b;
+            const double score =
+                f.cv_smape *
+                (1.0 + options_.term_penalty *
+                           static_cast<double>(hypotheses[i].size()));
+            if (!best_fit.valid || score < best_score) {
+                best_score = score;
+                best_index = i;
+                best_fit = std::move(f);
+            }
         }
     }
-    if (winner == nullptr) {
+    if (!best_fit.valid) {
         throw NumericalError("ModelGenerator::fit: no hypothesis could be fitted");
     }
-    const HypothesisFit& best_fit = winner->fit;
     const int searched = static_cast<int>(hypotheses.size());
 
-    std::vector<Term> terms = hypotheses[winner->index];
+    std::vector<Term> terms = hypotheses[best_index];
     for (std::size_t t = 0; t < terms.size(); ++t) {
         terms[t].coefficient = best_fit.coefficients[t + 1];
     }

@@ -21,11 +21,8 @@ struct FitOptions {
     /// Number of best per-parameter factors combined into multi-parameter
     /// hypotheses.
     int multi_param_top_factors = 3;
-    /// Threads used for the hypothesis search (and, in model_kernels, the
-    /// per-kernel loop). 1 = serial; 0 or negative = hardware concurrency.
-    /// The parallel search is bit-identical to the serial one: every
-    /// hypothesis fit is an independent computation and the reduction breaks
-    /// score ties by hypothesis index.
+    /// Threads model_kernels spends across kernels; ModelGenerator::fit never
+    /// reads it. 1 = serial; 0 or negative = hardware concurrency.
     int num_threads = 1;
 };
 

@@ -36,7 +36,7 @@ void usage(const char* argv0) {
     std::fprintf(
         stderr,
         "usage: %s [--quick] [--smoke] [--case NAME]... [--noise S1,S2,...]\n"
-        "          [--seed N] [--threads N] [--budget N] [--max-pulls N]\n"
+        "          [--seed N] [--budget N] [--max-pulls N]\n"
         "          [--target-rel-width W] [--out FILE] [--thresholds FILE]\n"
         "          [--list] [--trace SPEC]\n",
         argv0);
@@ -81,8 +81,6 @@ int main(int argc, char** argv) {
                 noise_levels = cli::parse_noise_list(args.value(arg));
             } else if (arg == "--seed") {
                 seed = args.u64_value(arg);
-            } else if (arg == "--threads") {
-                options.num_threads = args.int_value(arg);
             } else if (arg == "--budget") {
                 options.budget = args.int_value(arg);
             } else if (arg == "--max-pulls") {
@@ -114,7 +112,7 @@ int main(int argc, char** argv) {
     }
 
     try {
-        const auto session = cli::open_obs_session(trace, options.num_threads);
+        const auto session = cli::open_obs_session(trace, std::nullopt);
         if (list) {
             for (const auto& c : cases) {
                 std::printf("%-18s %zu params, %zu points: %s\n",

@@ -1,13 +1,9 @@
 #include "planner/planner.hpp"
 
 #include <cmath>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/parallel_for.hpp"
 #include "obs/trace.hpp"
 
 namespace extradeep::planner {
@@ -37,42 +33,6 @@ PlanInstruments resolve_instruments(const PlanOptions& options) {
     return out;
 }
 
-/// Runs one fit on the pool's submit() lane and blocks for the result.
-/// run_plan is a control loop, not a parallel region: dispatching the
-/// numerically heavy refit keeps it off the caller's stack (the fleet
-/// refit pattern) while the plan itself stays strictly sequential - and
-/// therefore bit-reproducible - because the caller waits.
-modeling::PerformanceModel refit_on_pool(
-    ThreadPool& pool, const modeling::ModelGenerator& generator,
-    const std::vector<std::vector<double>>& points,
-    const std::vector<double>& values,
-    const std::vector<std::string>& param_names) {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    std::exception_ptr error;
-    modeling::PerformanceModel model;
-    pool.submit([&] {
-        // submit() tasks must not throw; park any fit error for the waiter.
-        try {
-            model = generator.fit(points, values, param_names);
-        } catch (...) {
-            error = std::current_exception();
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            done = true;
-        }
-        cv.notify_one();
-    });
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return done; });
-    if (error) {
-        std::rethrow_exception(error);
-    }
-    return model;
-}
-
 std::string growth_string(const modeling::PerformanceModel& model,
                           std::size_t num_params) {
     std::ostringstream os;
@@ -88,9 +48,8 @@ PlanResult run_plan(eval::MeasurementSource& source,
                     const PlanOptions& options) {
     const obs::Span plan_span{"plan.run"};
     const std::size_t num_arms = source.num_configs();
-    modeling::FitOptions fit_options;
-    fit_options.num_threads = options.num_threads;
-    if (num_arms < static_cast<std::size_t>(fit_options.min_points)) {
+    const modeling::ModelGenerator generator;
+    if (num_arms < static_cast<std::size_t>(generator.options().min_points)) {
         throw InvalidArgumentError(
             "run_plan: fewer candidate configurations than the fitter's "
             "min_points");
@@ -120,9 +79,6 @@ PlanResult run_plan(eval::MeasurementSource& source,
     const PlanInstruments instruments = resolve_instruments(options);
     const obs::Clock& clock =
         options.clock != nullptr ? *options.clock : obs::steady_clock_instance();
-    const modeling::ModelGenerator generator(fit_options);
-    // One background lane is enough: refits are strictly sequential.
-    ThreadPool refit_pool(2);
 
     const auto pull = [&](std::size_t a) {
         const obs::Span pull_span{"plan.pull"};
@@ -154,8 +110,7 @@ PlanResult run_plan(eval::MeasurementSource& source,
             values.push_back(arm.mean);
         }
         const obs::ScopedLatencyTimer timer(clock, instruments.refit_latency_us);
-        return refit_on_pool(refit_pool, generator, points, values,
-                             result.param_names);
+        return generator.fit(points, values, result.param_names);
     };
 
     const auto rel_width = [&](const ArmState& arm) {

@@ -41,10 +41,6 @@ struct PlanOptions {
     double untrusted_margin = 0.02;
     /// Confidence level of the acquisition intervals.
     double confidence = 0.95;
-    /// Threads for the hypothesis search (FitOptions::num_threads). The
-    /// plan is bit-identical at any setting - the fitter's reductions are
-    /// order-stable by construction.
-    int num_threads = 1;
     /// Time source for the refit-latency histogram only; never serialised
     /// into the PlanResult, so plans stay byte-reproducible under real
     /// clocks. nullptr means the shared steady clock.
@@ -97,9 +93,9 @@ struct PlanResult {
 };
 
 /// Runs the adaptive plan against a measurement source. Deterministic: the
-/// source must be, and everything else is - the refit dispatches on the
-/// ThreadPool submit() lane but the caller blocks on its completion, and
-/// the acquisition argmax breaks ties toward the lowest arm index. Throws
+/// source must be, and everything else is - each refit runs serially on
+/// the calling thread, and the acquisition argmax breaks ties toward the
+/// lowest arm index. Throws
 /// InvalidArgumentError when the source has fewer arms than the fitter's
 /// min_points or the budget cannot cover the seed round.
 PlanResult run_plan(eval::MeasurementSource& source,

@@ -21,7 +21,7 @@
 //   extradeep-serve fit --out model.edpm [--name NAME] [--dataset D]
 //                       [--system DEEP|JURECA] [--strategy data|tensor|pipeline]
 //                       [--scaling weak|strong] [--batch B] [--mdegree M]
-//                       [--ranks 2,4,6,8,10] [--reps N] [--seed N] [--threads N]
+//                       [--ranks 2,4,6,8,10] [--reps N] [--seed N]
 //   extradeep-serve serve --models DIR [--port N] [--threads N]
 //   extradeep-serve query --port N [--host H] REQUEST...
 //   extradeep-serve ask --models DIR REQUEST...
@@ -106,8 +106,6 @@ int run_fit(cli::Args& args) {
             spec.repetitions = args.int_value(arg);
         } else if (arg == "--seed") {
             spec.seed = args.u64_value(arg);
-        } else if (arg == "--threads") {
-            spec.fit_threads = args.int_value(arg);
         } else {
             throw InvalidArgumentError("fit: unknown option '" + arg + "'");
         }
@@ -115,7 +113,7 @@ int run_fit(cli::Args& args) {
     if (out_path.empty()) {
         throw InvalidArgumentError("fit: --out FILE is required");
     }
-    const auto session = cli::open_obs_session(trace, spec.fit_threads);
+    const auto session = cli::open_obs_session(trace, std::nullopt);
     const ExperimentRunner runner(spec);
     const ExperimentResult result = runner.run();
     const serve::ServableModel model =

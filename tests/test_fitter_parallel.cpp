@@ -1,16 +1,20 @@
-// Equivalence tests for the parallel PMNF hypothesis search: at any thread
-// count the fitter must return *bit-identical* models to the serial path —
-// same terms, same coefficients, same quality metrics — because every
-// hypothesis fit is an independent computation over the shared factor-column
-// cache and the reduction breaks score ties by hypothesis index.
+// ThreadPool contract tests (parallel_for chunking and error order, submit()
+// FIFO dispatch), plus the pin that FitOptions::num_threads never changes a
+// fit: one fit is serial, and the knob only sets how many threads
+// model_kernels spends across kernels, so a fit at any setting must be
+// *bit-identical* to the 1-thread fit — same terms, coefficients and quality.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -54,24 +58,34 @@ ModelGenerator generator_with_threads(int threads, int max_terms = 2) {
 }  // namespace
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-    for (const int threads : {1, 2, 4, 7}) {
-        std::vector<std::atomic<int>> hits(103);
+    // {2 items, 7 threads}: more threads than items, so most chunks are
+    // empty and must not run the body.
+    for (const auto [count, threads] :
+         {std::pair{103, 1}, std::pair{103, 2}, std::pair{103, 4},
+          std::pair{103, 7}, std::pair{2, 7}}) {
+        ThreadPool pool(threads);
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(count));
         for (auto& h : hits) h = 0;
-        parallel_for(hits.size(), threads,
-                     [&](int, std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                             ++hits[i];
-                         }
-                     });
+        std::atomic<int> calls{0};
+        pool.parallel_for(hits.size(),
+                          [&](int, std::size_t begin, std::size_t end) {
+                              EXPECT_LT(begin, end);
+                              ++calls;
+                              for (std::size_t i = begin; i < end; ++i) {
+                                  ++hits[i];
+                              }
+                          });
         for (std::size_t i = 0; i < hits.size(); ++i) {
             EXPECT_EQ(hits[i], 1) << "index " << i << " threads " << threads;
         }
+        EXPECT_EQ(calls, std::min(count, threads)) << "threads " << threads;
     }
 }
 
 TEST(ParallelFor, ZeroCountRunsNothing) {
+    ThreadPool pool(4);
     bool ran = false;
-    parallel_for(0, 4, [&](int, std::size_t, std::size_t) { ran = true; });
+    pool.parallel_for(0, [&](int, std::size_t, std::size_t) { ran = true; });
     EXPECT_FALSE(ran);
 }
 
@@ -198,9 +212,8 @@ TEST(ThreadPoolSubmit, QueuedTasksReportsBacklog) {
 }
 
 TEST(ThreadPoolSubmit, CoexistsWithParallelFor) {
-    // The serve daemon's usage pattern: detached tasks in flight while the
-    // same pool also serves fork-join loops. Both must complete, and the
-    // fork-join job must not deadlock behind queued tasks.
+    // Detached tasks in flight while the same pool also runs a loop: the
+    // loop's chunks queue behind the tasks, and both must complete.
     ThreadPool pool(4);
     constexpr int kTasks = 100;
     std::atomic<int> ran{0};
@@ -220,6 +233,38 @@ TEST(ThreadPoolSubmit, CoexistsWithParallelFor) {
         sum += local;
     });
     EXPECT_EQ(sum, 999L * 1000L / 2);
+    done.wait();
+    EXPECT_EQ(ran.load(), kTasks);
+}
+
+TEST(ThreadPoolSubmit, ParallelForBehindQueuedTasksRethrowsLowestChunk) {
+    // Chunks 1..3 throw; chunk 1 is the slowest, so a higher chunk fails
+    // first. The lowest failing chunk's exception must still win, and the
+    // queued tasks ahead of the loop must all run.
+    ThreadPool pool(4);
+    constexpr int kTasks = 50;
+    std::atomic<int> ran{0};
+    Latch done(kTasks);
+    for (int i = 0; i < kTasks; ++i) {
+        pool.submit([&] {
+            ran.fetch_add(1);
+            done.count_down();
+        });
+    }
+    try {
+        pool.parallel_for(100, [&](int chunk, std::size_t, std::size_t) {
+            if (chunk == 0) {
+                return;
+            }
+            if (chunk == 1) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            }
+            throw std::runtime_error("chunk " + std::to_string(chunk));
+        });
+        FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "chunk 1");
+    }
     done.wait();
     EXPECT_EQ(ran.load(), kTasks);
 }

@@ -255,6 +255,11 @@ TEST(FleetService, RejectsBadOptions) {
     bad = opts;
     bad.max_pending = bad.min_runs - 1;
     EXPECT_THROW(fleet::FleetService(bad, registry), InvalidArgumentError);
+    bad = opts;
+    bad.fit_threads = 0;  // not "hardware concurrency": the pool needs >= 1
+    EXPECT_THROW(fleet::FleetService(bad, registry), InvalidArgumentError);
+    bad.fit_threads = -1;
+    EXPECT_THROW(fleet::FleetService(bad, registry), InvalidArgumentError);
 }
 
 // ---------------------------------------------------------------------------

@@ -365,31 +365,39 @@ TEST(StreamDifferential, StackedRandomMutations) {
 }
 
 TEST(StreamDifferential, StrictModeThrowsIdentically) {
+    // The first and the last file are corrupted. At more than one thread the
+    // last file may fail first; the error of the lowest path index must
+    // still win, exactly as in the sequential reference.
     for (const auto& [name, mutate] : edpfuzz::mutators()) {
         for (const std::uint64_t seed : {5u, 6u}) {
             SCOPED_TRACE(name + " seed " + std::to_string(seed));
             const TempDir dir;
             auto paths = write_corpus(dir, seed);
             Rng rng(seed * 31 + 7);
-            std::ifstream in(paths[0], std::ios::binary);
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            in.close();
-            write_text(paths[0], mutate(buf.str(), rng));
+            for (const std::size_t victim : {std::size_t{0}, paths.size() - 1}) {
+                std::ifstream in(paths[victim], std::ios::binary);
+                std::ostringstream buf;
+                buf << in.rdbuf();
+                in.close();
+                write_text(paths[victim], mutate(buf.str(), rng));
+            }
 
             std::string reference_error = "(no throw)";
-            std::string stream_error = "(no throw)";
             try {
                 reference_ingest(paths, ParseMode::Strict);
             } catch (const Error& e) {
                 reference_error = e.what();
             }
-            try {
-                ingest(paths, 1, ParseMode::Strict);
-            } catch (const Error& e) {
-                stream_error = e.what();
+            for (const int threads : {1, 2, 4}) {
+                std::string stream_error = "(no throw)";
+                try {
+                    ingest(paths, threads, ParseMode::Strict);
+                } catch (const Error& e) {
+                    stream_error = e.what();
+                }
+                EXPECT_EQ(reference_error, stream_error)
+                    << "threads " << threads;
             }
-            EXPECT_EQ(reference_error, stream_error);
         }
     }
 }

@@ -36,18 +36,12 @@ eval::OracleCase find_case(const std::string& name) {
     throw InvalidArgumentError("test: unknown oracle case " + name);
 }
 
-planner::PlanOptions noisy_options() {
-    planner::PlanOptions options;
-    options.num_threads = 1;
-    return options;
-}
-
 // --- run_plan core behaviour ------------------------------------------------
 
 TEST(Planner, NoiseFreeCaseStopsAfterSeedRound) {
     eval::OracleMeasurementSource source(find_case("linear"), {});
     const planner::PlanResult plan =
-        planner::run_plan(source, noisy_options());
+        planner::run_plan(source, planner::PlanOptions{});
     // Noise-free data collapses every prediction interval, so all arms are
     // confidently retired on the seed fit: 5 runs instead of 25.
     EXPECT_EQ(plan.stop_reason, "confidence");
@@ -69,7 +63,7 @@ TEST(Planner, NoisyCaseSavesRunsWithinEliminationInvariants) {
     mat.noise = 0.05;
     eval::OracleMeasurementSource source(find_case("linear"), mat);
     const planner::PlanResult plan =
-        planner::run_plan(source, noisy_options());
+        planner::run_plan(source, planner::PlanOptions{});
     EXPECT_GT(plan.runs_used, 5.0);
     EXPECT_LT(plan.runs_used, plan.baseline_runs);
     // Reported budget equals the backend's proof-of-work counter.
@@ -89,7 +83,7 @@ TEST(Planner, NoisyCaseSavesRunsWithinEliminationInvariants) {
     double pulls = 0.0;
     for (const auto& arm : plan.arms) {
         EXPECT_EQ(static_cast<std::size_t>(arm.pulls), arm.values.size());
-        EXPECT_LE(arm.pulls, noisy_options().max_pulls_per_arm);
+        EXPECT_LE(arm.pulls, planner::PlanOptions{}.max_pulls_per_arm);
         pulls += static_cast<double>(arm.pulls);
     }
     EXPECT_DOUBLE_EQ(plan.runs_used, pulls);
@@ -99,7 +93,7 @@ TEST(Planner, BudgetStopsTheRace) {
     eval::MaterializeOptions mat;
     mat.noise = 0.05;
     eval::OracleMeasurementSource source(find_case("linear"), mat);
-    planner::PlanOptions options = noisy_options();
+    planner::PlanOptions options = planner::PlanOptions{};
     options.budget = 7;  // seed round (5) + two racing pulls
     const planner::PlanResult plan = planner::run_plan(source, options);
     EXPECT_EQ(plan.stop_reason, "budget");
@@ -111,17 +105,17 @@ TEST(Planner, ValidatesOptions) {
     eval::OracleCase small = find_case("linear");
     small.points.resize(2);  // fewer arms than the fitter's min_points
     eval::OracleMeasurementSource small_source(small, mat);
-    EXPECT_THROW(planner::run_plan(small_source, noisy_options()),
+    EXPECT_THROW(planner::run_plan(small_source, planner::PlanOptions{}),
                  InvalidArgumentError);
 
     eval::OracleMeasurementSource source(find_case("linear"), mat);
-    planner::PlanOptions bad_seed = noisy_options();
+    planner::PlanOptions bad_seed = planner::PlanOptions{};
     bad_seed.seed_pulls = 0;
     EXPECT_THROW(planner::run_plan(source, bad_seed), InvalidArgumentError);
-    planner::PlanOptions bad_width = noisy_options();
+    planner::PlanOptions bad_width = planner::PlanOptions{};
     bad_width.target_rel_width = 0.0;
     EXPECT_THROW(planner::run_plan(source, bad_width), InvalidArgumentError);
-    planner::PlanOptions bad_budget = noisy_options();
+    planner::PlanOptions bad_budget = planner::PlanOptions{};
     bad_budget.budget = 4;  // cannot cover the 5-arm seed round
     EXPECT_THROW(planner::run_plan(source, bad_budget), InvalidArgumentError);
 }
@@ -129,16 +123,16 @@ TEST(Planner, ValidatesOptions) {
 // --- determinism ------------------------------------------------------------
 
 TEST(Planner, PlanJsonIsByteIdenticalAcrossThreadCounts) {
+    // A plan takes no thread count: every refit is one serial fit on the
+    // calling thread, so two renders of the same suite must match.
     std::vector<std::string> renders;
-    for (const int threads : {1, 2, 4}) {
-        planner::PlanOptions options = noisy_options();
-        options.num_threads = threads;
+    for (int i = 0; i < 2; ++i) {
         const std::vector<planner::PlanCaseReport> reports = planner::plan_suite(
-            {find_case("linear"), find_case("xlogx")}, {0.0, 0.05}, 1, options);
+            {find_case("linear"), find_case("xlogx")}, {0.0, 0.05}, 1,
+            planner::PlanOptions{});
         renders.push_back(planner::plan_json(reports, "testrev"));
     }
     EXPECT_EQ(renders[0], renders[1]);
-    EXPECT_EQ(renders[0], renders[2]);
 }
 
 TEST(Planner, SameSeedSamePlanFreshSource) {
@@ -149,7 +143,7 @@ TEST(Planner, SameSeedSamePlanFreshSource) {
     for (int i = 0; i < 2; ++i) {
         eval::OracleMeasurementSource source(find_case("quadratic"), mat);
         const planner::PlanResult plan =
-            planner::run_plan(source, noisy_options());
+            planner::run_plan(source, planner::PlanOptions{});
         std::string trace;
         for (const auto& round : plan.rounds) {
             trace += std::to_string(round.arm_pulled) + ":" + round.fitted +
@@ -205,7 +199,7 @@ TEST(Planner, PublishesInstrumentsToInjectedRegistry) {
     eval::OracleMeasurementSource source(find_case("linear"), mat);
     obs::MetricsRegistry metrics;
     obs::FakeClock clock(0, 1500);  // 1.5 us per reading
-    planner::PlanOptions options = noisy_options();
+    planner::PlanOptions options = planner::PlanOptions{};
     options.metrics = &metrics;
     options.clock = &clock;
     const planner::PlanResult plan = planner::run_plan(source, options);
@@ -249,7 +243,7 @@ TEST(ScopedLatencyTimer, ObservesElapsedAndToleratesNullHistogram) {
 
 TEST(PlanReport, JsonParsesAndCarriesSchema) {
     const std::vector<planner::PlanCaseReport> reports =
-        planner::plan_suite({find_case("linear")}, {0.0}, 1, noisy_options());
+        planner::plan_suite({find_case("linear")}, {0.0}, 1, planner::PlanOptions{});
     const std::string rendered = planner::plan_json(reports, "abc123");
     const json::Value doc = json::parse(rendered, "plan JSON");
     const json::Value* schema = doc.find("schema");
@@ -262,7 +256,7 @@ TEST(PlanReport, JsonParsesAndCarriesSchema) {
 
 TEST(PlanReport, RecordsIncludeSuiteSummaryAndPaperReference) {
     const std::vector<planner::PlanCaseReport> reports =
-        planner::plan_suite({find_case("linear")}, {0.0}, 1, noisy_options());
+        planner::plan_suite({find_case("linear")}, {0.0}, 1, planner::PlanOptions{});
     const std::vector<eval::MetricRecord> records =
         planner::to_records(reports);
     bool found_paper = false;
@@ -278,7 +272,7 @@ TEST(PlanReport, RecordsIncludeSuiteSummaryAndPaperReference) {
 
 TEST(PlanGate, EnforcesThresholdsOnRecords) {
     const std::vector<planner::PlanCaseReport> reports =
-        planner::plan_suite({find_case("linear")}, {0.0}, 1, noisy_options());
+        planner::plan_suite({find_case("linear")}, {0.0}, 1, planner::PlanOptions{});
     const std::vector<eval::MetricRecord> records =
         planner::to_records(reports);
     const eval::GateResult pass = eval::check_gate(
