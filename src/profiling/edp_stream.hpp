@@ -3,6 +3,7 @@
 #include <iosfwd>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -40,9 +41,11 @@ struct EdpRecord {
 /// records without ever materialising a full run — so the two paths are
 /// equivalent by construction (see DESIGN.md §13).
 ///
-/// Memory behaviour: the reader holds one input line, one record, and the
-/// set of rank ids seen so far. It never buffers events or marks, so its
-/// footprint is independent of the profile size.
+/// Memory behaviour: the reader holds one input line plus views of its
+/// tab-separated fields into that line, one record, and the set of rank ids
+/// seen so far. Strings are built only for the names a record keeps and for
+/// diagnostic text. It never buffers events or marks, so its footprint is
+/// independent of the profile size.
 ///
 /// Usage:
 ///
@@ -114,7 +117,7 @@ private:
     DiagnosticLog log_;
     Stage stage_ = Stage::Header;
     std::string line_;
-    std::vector<std::string> fields_;
+    std::vector<std::string_view> fields_;  ///< views into line_
     bool have_pending_line_ = false;  ///< reprocess line_ (headerless file)
     std::set<int> seen_ranks_;
     bool rank_usable_ = false;  ///< a usable RANK block is open

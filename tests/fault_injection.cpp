@@ -136,16 +136,21 @@ std::string duplicate_rank_block(const std::string& input, Rng& rng) {
     return join_lines(lines);
 }
 
-std::string corrupt_number(const std::string& input, Rng& rng) {
-    static const char* kJunk[] = {
+const std::vector<std::string>& corrupt_number_tokens() {
+    static const std::vector<std::string> kJunk = {
         "nan", "-nan", "inf",   "-inf",  "1e999", "-1",
         "12x", "",     "0.0.0", "+-3",   "0x",    "999999999999999999999999",
     };
+    return kJunk;
+}
+
+std::string corrupt_number(const std::string& input, Rng& rng) {
+    const std::vector<std::string>& junk = corrupt_number_tokens();
     std::vector<std::string> lines = split_lines(input);
     std::string& line = lines[pick_index(rng, lines.size())];
     std::vector<std::string> fields = split_fields(line);
     fields[pick_index(rng, fields.size())] =
-        kJunk[pick_index(rng, std::size(kJunk))];
+        junk[pick_index(rng, junk.size())];
     line = join_fields(fields);
     return join_lines(lines);
 }

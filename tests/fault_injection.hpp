@@ -39,8 +39,12 @@ std::string inject_whitespace(const std::string& input, Rng& rng);
 /// RANK/END). Falls back to duplicate_line when the input has no RANK line.
 std::string duplicate_rank_block(const std::string& input, Rng& rng);
 
+/// The corrupt numeric tokens corrupt_number draws from ("nan", "inf",
+/// "1e999", "-1", "12x", "", ...).
+const std::vector<std::string>& corrupt_number_tokens();
+
 /// Replaces one field of a random line with a corrupt numeric token
-/// ("nan", "inf", "1e999", "-7", "12x", ...).
+/// (one of corrupt_number_tokens()).
 std::string corrupt_number(const std::string& input, Rng& rng);
 
 /// Deterministically shuffles all lines (Fisher-Yates over rng, so the
