@@ -54,6 +54,30 @@ void BM_ModelFit_1Term(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelFit_1Term)->Unit(benchmark::kMillisecond);
 
+// The same default space and five points, factored once: each iteration
+// solves one of 16 series against the shared design, as model_kernels does
+// for every kernel measured at the same configurations.
+void BM_ModelFit_SharedDesign(benchmark::State& state) {
+    Rng rng(1);
+    const std::vector<double> xs = {2, 4, 6, 8, 10};
+    std::vector<std::vector<double>> series(16);
+    for (std::size_t s = 0; s < series.size(); ++s) {
+        for (const double x : xs) {
+            series[s].push_back((10.0 + (1.0 + static_cast<double>(s)) * x) *
+                                rng.lognormal_factor(0.03));
+        }
+    }
+    const modeling::ModelGenerator gen;
+    const modeling::ModelGenerator::Design design = gen.design(xs);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(gen.fit(design, series[next]));
+        next = (next + 1) % series.size();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ModelFit_SharedDesign)->Unit(benchmark::kMillisecond);
+
 void BM_ModelFit_2Terms(benchmark::State& state) {
     Rng rng(1);
     std::vector<double> xs = {2, 4, 6, 8, 10, 12, 16};

@@ -1,5 +1,6 @@
 #include "common/linalg.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -95,6 +96,23 @@ std::vector<double> cholesky_solve(const Matrix& l, const std::vector<double>& b
     return x;
 }
 
+/// S^{-1} from the Cholesky factor L of S, one cholesky_solve per unit
+/// column.
+Matrix cholesky_inverse(const Matrix& l) {
+    const std::size_t n = l.rows();
+    Matrix inv(n, n);
+    std::vector<double> e(n, 0.0);
+    for (std::size_t c = 0; c < n; ++c) {
+        e.assign(n, 0.0);
+        e[c] = 1.0;
+        const std::vector<double> col = cholesky_solve(l, e);
+        for (std::size_t r = 0; r < n; ++r) {
+            inv(r, c) = col[r];
+        }
+    }
+    return inv;
+}
+
 /// A^T A, accumulated as row outer products in row order with the classic
 /// zero-skip (rows whose i-th entry is exactly 0.0 add nothing to row i):
 /// per output element this is the same addition sequence as the column loop
@@ -133,41 +151,31 @@ std::vector<double> solve_spd(const Matrix& s, const std::vector<double>& b) {
 }
 
 Matrix invert_spd(const Matrix& s) {
-    const std::size_t n = s.rows();
-    if (s.cols() != n) {
+    if (s.cols() != s.rows()) {
         throw InvalidArgumentError("invert_spd: matrix not square");
     }
     Matrix l;
     if (!cholesky(s, l)) {
         throw NumericalError("invert_spd: matrix is not positive definite");
     }
-    Matrix inv(n, n);
-    std::vector<double> e(n, 0.0);
-    for (std::size_t c = 0; c < n; ++c) {
-        e.assign(n, 0.0);
-        e[c] = 1.0;
-        const std::vector<double> col = cholesky_solve(l, e);
-        for (std::size_t r = 0; r < n; ++r) {
-            inv(r, c) = col[r];
-        }
-    }
-    return inv;
+    return cholesky_inverse(l);
 }
 
-LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) {
+QrFactors qr_factor(const Matrix& a) {
     const std::size_t m = a.rows();
     const std::size_t n = a.cols();
     if (m < n) {
-        throw InvalidArgumentError("least_squares: fewer rows than columns");
-    }
-    if (b.size() != m) {
-        throw InvalidArgumentError("least_squares: rhs size mismatch");
+        throw InvalidArgumentError("qr_factor: fewer rows than columns");
     }
 
-    // Householder QR, overwriting a working copy of A; b is transformed along.
-    Matrix r = a;
-    std::vector<double> rhs = b;
-    std::vector<double> dots;
+    // Householder QR, overwriting a working copy of A. Column k's reflector
+    // v = (v_head[k], r(k+1.., k)) keeps its tail in place below the
+    // diagonal, which nothing reads once column k is reduced.
+    QrFactors f;
+    f.qr = a;
+    f.v_head.assign(n, 0.0);
+    f.v_norm2.assign(n, 0.0);
+    Matrix& r = f.qr;
     double col_norm_max = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
         // Column norm below the pivot.
@@ -181,97 +189,137 @@ LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) 
             continue;  // handled as rank deficiency in back substitution
         }
         const double alpha = r(k, k) >= 0.0 ? -norm : norm;
-        // Householder vector v = x - alpha*e1, stored temporarily.
-        std::vector<double> v(m - k, 0.0);
-        v[0] = r(k, k) - alpha;
-        for (std::size_t i = k + 1; i < m; ++i) {
-            v[i - k] = r(i, k);
-        }
+        // Householder vector v = x - alpha*e1.
+        const double head = r(k, k) - alpha;
         double vnorm2 = 0.0;
-        for (double x : v) vnorm2 += x * x;
+        vnorm2 += head * head;
+        for (std::size_t i = k + 1; i < m; ++i) {
+            vnorm2 += r(i, k) * r(i, k);
+        }
         if (vnorm2 == 0.0) {
             continue;
         }
-        // Apply H = I - 2 v v^T / (v^T v) to the trailing block and to rhs.
-        // Loop-interchanged so the inner traversal runs along contiguous row
-        // segments: dots[c - k] accumulates v^T R(:, c) in the same
-        // ascending-i order as a per-column loop, so the result is
-        // bit-identical to the column-at-a-time formulation.
-        dots.assign(n - k, 0.0);
-        for (std::size_t i = k; i < m; ++i) {
-            const double vi = v[i - k];
-            const double* ri = r.row(i) + k;
-            for (std::size_t j = 0; j < n - k; ++j) {
-                dots[j] += vi * ri[j];
-            }
-        }
-        for (std::size_t j = 0; j < n - k; ++j) {
-            dots[j] = 2.0 * dots[j] / vnorm2;
-        }
-        for (std::size_t i = k; i < m; ++i) {
-            const double vi = -v[i - k];
-            double* ri = r.row(i) + k;
-            for (std::size_t j = 0; j < n - k; ++j) {
-                ri[j] += vi * dots[j];
-            }
-        }
-        {
+        f.v_head[k] = head;
+        f.v_norm2[k] = vnorm2;
+        // Apply H = I - 2 v v^T / (v^T v) to the trailing columns, then to
+        // column k's diagonal last, since v's tail is column k itself.
+        for (std::size_t c = k + 1; c < n; ++c) {
             double dot = 0.0;
-            for (std::size_t i = k; i < m; ++i) {
-                dot += v[i - k] * rhs[i];
+            dot += head * r(k, c);
+            for (std::size_t i = k + 1; i < m; ++i) {
+                dot += r(i, k) * r(i, c);
             }
-            const double f = 2.0 * dot / vnorm2;
-            for (std::size_t i = k; i < m; ++i) {
-                rhs[i] -= f * v[i - k];
+            const double d = 2.0 * dot / vnorm2;
+            r(k, c) += -head * d;
+            for (std::size_t i = k + 1; i < m; ++i) {
+                r(i, c) += -r(i, k) * d;
             }
+        }
+        double dot = 0.0;
+        dot += head * r(k, k);
+        for (std::size_t i = k + 1; i < m; ++i) {
+            dot += r(i, k) * r(i, k);
+        }
+        r(k, k) += -head * (2.0 * dot / vnorm2);
+    }
+
+    f.rank_tol = 1e-11 * (col_norm_max > 0 ? col_norm_max : 1.0);
+    for (std::size_t k = 0; k < n; ++k) {
+        if (std::abs(r(k, k)) <= f.rank_tol) {
+            f.rank_deficient = true;
+        }
+    }
+    if (f.rank_deficient) {
+        f.a = a;
+        return f;
+    }
+    // Unscaled covariance (A^T A)^{-1}. The Cholesky test of A^T A is part
+    // of the rank decision: a system whose R passes but whose A^T A is not
+    // numerically SPD is flagged too.
+    Matrix l;
+    if (cholesky(normal_equations(a), l)) {
+        f.covariance_unscaled = cholesky_inverse(l);
+    } else {
+        f.rank_deficient = true;
+    }
+    return f;
+}
+
+double qr_solve(const QrFactors& factors, const std::vector<double>& b,
+                std::vector<double>& x, std::vector<double>& rhs) {
+    const Matrix& r = factors.qr;
+    const std::size_t m = r.rows();
+    const std::size_t n = r.cols();
+    if (b.size() != m) {
+        throw InvalidArgumentError("qr_solve: rhs size mismatch");
+    }
+    rhs.assign(b.begin(), b.end());
+    for (std::size_t k = 0; k < n; ++k) {
+        const double vnorm2 = factors.v_norm2[k];
+        if (vnorm2 == 0.0) {
+            continue;
+        }
+        const double head = factors.v_head[k];
+        double dot = 0.0;
+        dot += head * rhs[k];
+        for (std::size_t i = k + 1; i < m; ++i) {
+            dot += r(i, k) * rhs[i];
+        }
+        const double s = 2.0 * dot / vnorm2;
+        rhs[k] -= s * head;
+        for (std::size_t i = k + 1; i < m; ++i) {
+            rhs[i] -= s * r(i, k);
         }
     }
 
-    LeastSquaresResult out;
-    out.coefficients.assign(n, 0.0);
-    const double rank_tol = 1e-11 * (col_norm_max > 0 ? col_norm_max : 1.0);
     // Back substitution on the upper-triangular R.
+    x.assign(n, 0.0);
+    bool zero_pivot = false;
     for (std::size_t ii = n; ii-- > 0;) {
-        if (std::abs(r(ii, ii)) <= rank_tol) {
-            out.coefficients[ii] = 0.0;
-            out.rank_deficient = true;
+        if (std::abs(r(ii, ii)) <= factors.rank_tol) {
+            x[ii] = 0.0;
+            zero_pivot = true;
             continue;
         }
         double acc = rhs[ii];
         for (std::size_t c = ii + 1; c < n; ++c) {
-            acc -= r(ii, c) * out.coefficients[c];
+            acc -= r(ii, c) * x[c];
         }
-        out.coefficients[ii] = acc / r(ii, ii);
+        x[ii] = acc / r(ii, ii);
     }
     double res2 = 0.0;
-    for (std::size_t i = n; i < m; ++i) {
-        res2 += rhs[i] * rhs[i];
-    }
-    // Rank-deficient rows above n also contribute residual; recompute directly
-    // for robustness when flagged.
-    if (out.rank_deficient) {
-        res2 = 0.0;
+    if (!zero_pivot) {
+        for (std::size_t i = n; i < m; ++i) {
+            res2 += rhs[i] * rhs[i];
+        }
+    } else {
+        // Zero pivots leave part of b out of the transformed tail, so the
+        // residual comes from A directly.
+        const Matrix& a = factors.a;
         for (std::size_t i = 0; i < m; ++i) {
             double pred = 0.0;
             for (std::size_t c = 0; c < n; ++c) {
-                pred += a(i, c) * out.coefficients[c];
+                pred += a(i, c) * x[c];
             }
             const double d = pred - b[i];
             res2 += d * d;
         }
     }
-    out.residual_norm = std::sqrt(res2);
+    return std::sqrt(res2);
+}
 
-    // Unscaled covariance (A^T A)^{-1}; skip when rank deficient (the
-    // hypothesis will be rejected by the model selector anyway).
-    if (!out.rank_deficient) {
-        try {
-            out.covariance_unscaled = invert_spd(normal_equations(a));
-        } catch (const NumericalError&) {
-            out.rank_deficient = true;
-        }
-    }
+LeastSquaresResult qr_solve(const QrFactors& factors,
+                            const std::vector<double>& b) {
+    LeastSquaresResult out;
+    std::vector<double> rhs;
+    out.residual_norm = qr_solve(factors, b, out.coefficients, rhs);
+    out.covariance_unscaled = factors.covariance_unscaled;
+    out.rank_deficient = factors.rank_deficient;
     return out;
+}
+
+LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) {
+    return qr_solve(qr_factor(a), b);
 }
 
 }  // namespace extradeep::linalg

@@ -101,11 +101,10 @@ std::vector<KernelModelEntry> model_kernels(
     if (!steps) {
         throw InvalidArgumentError("model_kernels: null StepMathFn");
     }
-    // Gather the per-(kernel, metric) fit inputs serially, then run the
-    // independent PMNF fits across the thread budget of the generator. When
-    // the kernel loop is parallel the per-fit hypothesis search runs
-    // serially (and vice versa), so the thread count is a single knob and
-    // never oversubscribes.
+    // Gather the per-(kernel, metric) fit inputs serially and factor one
+    // hypothesis design per distinct xs, then run the independent PMNF fits
+    // across the generator's thread budget. Each fit is serial and only
+    // reads its shared design.
     struct FitTask {
         std::string name;
         trace::KernelCategory category;
@@ -113,6 +112,7 @@ std::vector<KernelModelEntry> model_kernels(
         std::vector<double> xs;
         std::vector<double> train_values;
         std::vector<double> val_values;
+        std::size_t design = 0;  ///< index into designs
     };
     std::vector<FitTask> tasks;
     const auto kernel_names = data.modelable_kernels(min_configs);
@@ -144,6 +144,22 @@ std::vector<KernelModelEntry> model_kernels(
         }
     }
 
+    // Kernels present at every configuration share one xs, so there is
+    // usually a single design; a linear scan finds it.
+    std::vector<const std::vector<double>*> design_xs;
+    std::vector<modeling::ModelGenerator::Design> designs;
+    for (FitTask& task : tasks) {
+        std::size_t d = 0;
+        while (d < design_xs.size() && *design_xs[d] != task.xs) {
+            ++d;
+        }
+        if (d == design_xs.size()) {
+            design_xs.push_back(&task.xs);
+            designs.push_back(generator.design(task.xs));
+        }
+        task.design = d;
+    }
+
     const int threads = static_cast<int>(std::min<std::size_t>(
         static_cast<std::size_t>(
             resolve_num_threads(generator.options().num_threads)),
@@ -158,8 +174,9 @@ std::vector<KernelModelEntry> model_kernels(
             entry.name = task.name;
             entry.category = task.category;
             entry.metric = task.metric;
-            entry.model = EpochModel(generator.fit(task.xs, task.train_values),
-                                     generator.fit(task.xs, task.val_values),
+            const auto& design = designs[task.design];
+            entry.model = EpochModel(generator.fit(design, task.train_values),
+                                     generator.fit(design, task.val_values),
                                      steps);
         }
     });

@@ -84,8 +84,10 @@ struct KernelModelEntry {
 /// present in at least five configurations) and each requested metric.
 /// Metric series that are identically zero (e.g. bytes of pure compute
 /// kernels) are skipped. `steps` provides n_t/n_v for any rank count.
-/// Kernels are fitted on generator.options().num_threads threads; each fit
-/// is serial, so the result is the same at any thread count.
+/// Each distinct xs is factored once (ModelGenerator::design) and shared
+/// read-only by its fits. Kernels are fitted on
+/// generator.options().num_threads threads; each fit is serial, so the
+/// result is the same at any thread count.
 std::vector<KernelModelEntry> model_kernels(
     const aggregation::ExperimentData& data, const StepMathFn& steps,
     const std::vector<aggregation::Metric>& metrics,

@@ -132,14 +132,14 @@ ExperimentResult ExperimentRunner::run(
         total_val.push_back(val_sum);
     }
     const obs::Span fit_span{"runner.fit_models"};
-    result.epoch_time =
-        EpochModel(generator.fit(result.modeling_xs, total_train),
-                   generator.fit(result.modeling_xs, total_val),
-                   result.step_math_fn);
+    const auto design = generator.design(result.modeling_xs);
+    result.epoch_time = EpochModel(generator.fit(design, total_train),
+                                   generator.fit(design, total_val),
+                                   result.step_math_fn);
     for (int p = 0; p < trace::kPhaseCount; ++p) {
         result.phase_time[p] =
-            EpochModel(generator.fit(result.modeling_xs, phase_train[p]),
-                       generator.fit(result.modeling_xs, phase_val[p]),
+            EpochModel(generator.fit(design, phase_train[p]),
+                       generator.fit(design, phase_val[p]),
                        result.step_math_fn);
     }
     return result;

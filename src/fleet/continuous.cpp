@@ -296,15 +296,16 @@ void FleetService::run_fit_job(FitJob job) {
             // Refit parallelism comes from concurrent jobs on the pool;
             // each fit is serial.
             const modeling::ModelGenerator generator;
+            const auto design = generator.design(result.modeling_xs);
             result.epoch_time =
-                EpochModel(generator.fit(result.modeling_xs, total_train),
-                           generator.fit(result.modeling_xs, total_val),
+                EpochModel(generator.fit(design, total_train),
+                           generator.fit(design, total_val),
                            result.step_math_fn);
             for (int p = 0; p < trace::kPhaseCount; ++p) {
-                result.phase_time[p] = EpochModel(
-                    generator.fit(result.modeling_xs, phase_train[p]),
-                    generator.fit(result.modeling_xs, phase_val[p]),
-                    result.step_math_fn);
+                result.phase_time[p] =
+                    EpochModel(generator.fit(design, phase_train[p]),
+                               generator.fit(design, phase_val[p]),
+                               result.step_math_fn);
             }
             const serve::ServableModel servable =
                 serve::make_servable(spec, result, job.experiment);

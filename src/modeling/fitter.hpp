@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -7,6 +8,10 @@
 #include "modeling/search_space.hpp"
 
 namespace extradeep::modeling {
+
+namespace detail {
+struct DesignData;
+}  // namespace detail
 
 struct FitOptions {
     SearchSpace space;
@@ -50,6 +55,33 @@ public:
     /// Single-parameter convenience overload.
     PerformanceModel fit(const std::vector<double>& xs,
                          const std::vector<double>& ys,
+                         const std::string& param_name = "x1") const;
+
+    /// Everything a single-parameter fit derives from its points alone: per
+    /// hypothesis of the search space, the basis and the QR factorisations
+    /// (with the rank decision) of the full system and of every
+    /// leave-one-out subset. Immutable once built, so any number of threads
+    /// may fit series on the same xs against one Design.
+    class Design {
+    public:
+        Design(Design&&) noexcept;
+        Design& operator=(Design&&) noexcept;
+        ~Design();
+
+    private:
+        friend class ModelGenerator;
+        explicit Design(std::unique_ptr<const detail::DesignData> data);
+        std::unique_ptr<const detail::DesignData> data_;
+    };
+
+    /// Factors this generator's single-parameter hypothesis space on `xs`.
+    /// Throws InvalidArgumentError for fewer than min_points points.
+    Design design(const std::vector<double>& xs) const;
+
+    /// Fits `ys`, measured at the design's xs, against a design built by
+    /// this generator: the same model, bit for bit, as fit(xs, ys), without
+    /// factoring again.
+    PerformanceModel fit(const Design& design, const std::vector<double>& ys,
                          const std::string& param_name = "x1") const;
 
 private:

@@ -3,6 +3,7 @@
 // fit: one fit is serial, and the knob only sets how many threads
 // model_kernels spends across kernels, so a fit at any setting must be
 // *bit-identical* to the 1-thread fit — same terms, coefficients and quality.
+// model_kernels' threads all read one shared ModelGenerator::Design per xs.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -20,8 +22,10 @@
 #include "common/error.hpp"
 #include "common/parallel_for.hpp"
 #include "common/rng.hpp"
+#include "extradeep/models.hpp"
 #include "modeling/fitter.hpp"
 #include "modeling/model.hpp"
+#include "obs/trace.hpp"
 
 using namespace extradeep;
 using namespace extradeep::modeling;
@@ -342,4 +346,89 @@ TEST(ParallelFitter, HardwareThreadCountAlsoIdentical) {
     const PerformanceModel serial = generator_with_threads(1, 1).fit(xs, ys);
     const PerformanceModel parallel = generator_with_threads(0, 1).fit(xs, ys);
     expect_identical(serial, parallel);
+}
+
+namespace {
+
+/// Number of recorded spans named `name`.
+std::size_t span_count(const std::string& name) {
+    std::size_t n = 0;
+    for (const auto& span : obs::global_tracer().snapshot()) {
+        n += span.name == name ? 1 : 0;
+    }
+    return n;
+}
+
+}  // namespace
+
+TEST(ParallelFitter, ModelKernelsShareOneDesignPerXsAtAnyThreadCount) {
+    // 24 kernels seen at all six configurations share one xs; two more miss
+    // x = 64 and share a second. Each distinct xs is factored once, and the
+    // fits on every thread read that one design: entries at 1 and 4 threads
+    // and one-off fits of the same series must agree bit for bit.
+    constexpr int kShared = 24;
+    constexpr int kKernels = kShared + 2;
+    const std::vector<double> xs = {2, 4, 8, 16, 32, 64};
+    Rng rng(11);
+    aggregation::ExperimentData data;
+    for (const double x : xs) {
+        aggregation::ConfigurationData config;
+        config.params["x1"] = x;
+        config.repetitions = 1;
+        for (int k = 0; k < kKernels; ++k) {
+            if (k >= kShared && x == 64.0) {
+                continue;
+            }
+            aggregation::KernelStats stats;
+            stats.name = std::string(k < 10 ? "k0" : "k") + std::to_string(k);
+            const double scale = 1.0 + k;
+            stats.train[static_cast<int>(aggregation::Metric::Time)] =
+                scale * (1.0 + 0.1 * x * std::log2(x)) *
+                rng.lognormal_factor(0.03);
+            stats.val[static_cast<int>(aggregation::Metric::Time)] =
+                scale * (2.0 + std::sqrt(x)) * rng.lognormal_factor(0.03);
+            config.kernels.push_back(stats);
+        }
+        data.add(config);
+    }
+    const StepMathFn steps = make_step_math_fn(
+        "CIFAR-10", parallel::StrategyKind::Data, 1,
+        parallel::ScalingMode::Weak, 256);
+
+    obs::set_trace_enabled(true);
+    std::vector<std::vector<KernelModelEntry>> runs;
+    for (const int threads : {1, 4}) {
+        obs::global_tracer().clear();
+        runs.push_back(model_kernels(data, steps, {aggregation::Metric::Time},
+                                     generator_with_threads(threads, 1)));
+        EXPECT_EQ(span_count("fit.design"), 2u) << threads << " threads";
+        EXPECT_EQ(span_count("fit.model"), 2u * kKernels)
+            << threads << " threads";
+    }
+    obs::set_trace_enabled(false);
+    obs::global_tracer().clear();
+
+    const auto& serial = runs[0];
+    const auto& parallel = runs[1];
+    ASSERT_EQ(serial.size(), static_cast<std::size_t>(kKernels));
+    ASSERT_EQ(parallel.size(), serial.size());
+    const ModelGenerator direct = generator_with_threads(1, 1);
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE(serial[i].name);
+        EXPECT_EQ(serial[i].name, parallel[i].name);
+        expect_identical(serial[i].model.train_step_model(),
+                         parallel[i].model.train_step_model());
+        expect_identical(serial[i].model.val_step_model(),
+                         parallel[i].model.val_step_model());
+        std::vector<double> kernel_xs;
+        std::vector<double> train;
+        for (const auto& config : data.configs()) {
+            if (const auto* k = config.find_kernel(serial[i].name)) {
+                kernel_xs.push_back(config.params.at("x1"));
+                train.push_back(k->train_metric(aggregation::Metric::Time));
+            }
+        }
+        expect_identical(serial[i].model.train_step_model(),
+                         direct.fit(kernel_xs, train));
+    }
 }

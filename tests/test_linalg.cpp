@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "reference_least_squares.hpp"
 
 using namespace extradeep::linalg;
 using extradeep::InvalidArgumentError;
@@ -279,3 +280,139 @@ TEST_P(LeastSquaresRandomTest, RecoversPlantedCoefficients) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LeastSquaresRandomTest,
                          ::testing::Range(1, 11));
+
+namespace {
+
+bool same_bits(double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+void expect_same_bits(const std::vector<double>& x,
+                      const std::vector<double>& y, const char* what) {
+    ASSERT_EQ(x.size(), y.size()) << what;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_TRUE(same_bits(x[i], y[i]))
+            << what << "[" << i << "]: " << x[i] << " vs " << y[i];
+    }
+}
+
+void expect_same_bits(const Matrix& x, const Matrix& y, const char* what) {
+    ASSERT_EQ(x.rows(), y.rows()) << what;
+    ASSERT_EQ(x.cols(), y.cols()) << what;
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        for (std::size_t c = 0; c < x.cols(); ++c) {
+            EXPECT_TRUE(same_bits(x(r, c), y(r, c)))
+                << what << "(" << r << ", " << c << "): " << x(r, c)
+                << " vs " << y(r, c);
+        }
+    }
+}
+
+void expect_same_result(const LeastSquaresResult& got,
+                        const LeastSquaresResult& want) {
+    expect_same_bits(got.coefficients, want.coefficients, "coefficients");
+    EXPECT_TRUE(same_bits(got.residual_norm, want.residual_norm))
+        << got.residual_norm << " vs " << want.residual_norm;
+    EXPECT_EQ(got.rank_deficient, want.rank_deficient);
+    expect_same_bits(got.covariance_unscaled, want.covariance_unscaled,
+                     "covariance");
+}
+
+Matrix random_matrix(Rng& rng, std::size_t rows, std::size_t cols) {
+    Matrix a(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            const double mag = std::pow(10.0, rng.uniform(-6.0, 6.0));
+            a(r, c) = (rng.bernoulli(0.5) ? 1.0 : -1.0) * mag;
+        }
+    }
+    return a;
+}
+
+}  // namespace
+
+TEST(LeastSquares, QrSolveBitIdenticalToLeastSquares) {
+    // One factorisation, many right-hand sides: every solve must match the
+    // one-shot least_squares and the reference routine bit for bit -
+    // coefficients, residual, rank flag and covariance - so a factorisation
+    // can be shared across series without changing any fit.
+    Rng rng(2024);
+    std::vector<Matrix> systems;
+    for (const auto& [rows, cols] :
+         {std::pair<std::size_t, std::size_t>{5, 1}, {5, 2}, {6, 3},
+          {10, 3}, {9, 4}, {4, 4}}) {
+        systems.push_back(random_matrix(rng, rows, cols));
+    }
+    {
+        // Exactly collinear: column 2 is 3 x column 1.
+        Matrix a = random_matrix(rng, 7, 3);
+        for (std::size_t r = 0; r < 7; ++r) {
+            a(r, 2) = 3.0 * a(r, 1);
+        }
+        systems.push_back(a);
+    }
+    {
+        // A zero column: no reflection, a zero pivot.
+        Matrix a = random_matrix(rng, 6, 3);
+        for (std::size_t r = 0; r < 6; ++r) {
+            a(r, 1) = 0.0;
+        }
+        systems.push_back(a);
+    }
+    {
+        // Rank deficient by rows: two distinct rows repeated.
+        Matrix a(6, 3);
+        for (std::size_t r = 0; r < 6; ++r) {
+            const double x = r % 2 == 0 ? 2.0 : 8.0;
+            a(r, 0) = 1.0;
+            a(r, 1) = x;
+            a(r, 2) = x * x;
+        }
+        systems.push_back(a);
+    }
+    {
+        // Nearly collinear at 1e-8: R passes the pivot tolerance but A^T A
+        // fails the Cholesky test, so the rank flag comes from Cholesky.
+        Matrix a(5, 2);
+        for (std::size_t r = 0; r < 5; ++r) {
+            a(r, 0) = 1.0;
+            a(r, 1) = 2.0 * (1.0 + 1e-8 * static_cast<double>(r));
+        }
+        const QrFactors f = qr_factor(a);
+        EXPECT_TRUE(f.rank_deficient);
+        EXPECT_EQ(f.a.rows(), 0u) << "expected no zero pivot in R";
+        systems.push_back(a);
+    }
+
+    bool saw_zero_pivot = false;
+    bool saw_full_rank = false;
+    std::vector<double> x;
+    std::vector<double> rhs;
+    for (const Matrix& a : systems) {
+        const QrFactors factors = qr_factor(a);
+        saw_zero_pivot = saw_zero_pivot || factors.a.rows() != 0;
+        saw_full_rank = saw_full_rank || !factors.rank_deficient;
+        for (int series = 0; series < 25; ++series) {
+            std::vector<double> b(a.rows());
+            for (double& v : b) {
+                v = rng.uniform(-1e3, 1e3);
+            }
+            const LeastSquaresResult want = reference::least_squares(a, b);
+            expect_same_result(qr_solve(factors, b), want);
+            expect_same_result(least_squares(a, b), want);
+            // The buffer form, reusing x and rhs across series.
+            const double residual = qr_solve(factors, b, x, rhs);
+            expect_same_bits(x, want.coefficients, "x");
+            EXPECT_TRUE(same_bits(residual, want.residual_norm));
+        }
+    }
+    EXPECT_TRUE(saw_zero_pivot);
+    EXPECT_TRUE(saw_full_rank);
+}
+
+TEST(LeastSquares, QrSolveRejectsRhsSizeMismatch) {
+    Matrix a(4, 2, 1.0);
+    a(1, 1) = 2.0;
+    const QrFactors f = qr_factor(a);
+    EXPECT_THROW(qr_solve(f, {1.0, 2.0}), InvalidArgumentError);
+}

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
+#include "common/linalg.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "modeling/fitter.hpp"
 #include "modeling/model.hpp"
 #include "modeling/search_space.hpp"
+#include "reference_least_squares.hpp"
 
 using namespace extradeep::modeling;
 using extradeep::InvalidArgumentError;
@@ -573,4 +578,265 @@ TEST(Selection, CvScoreSeparatesInAndOutOfSpaceShapes) {
     const auto inv_fit = ModelGenerator().fit(xs, inv_ys);
     EXPECT_GT(inv_fit.quality().cv_smape, 1.0)
         << inv_fit.to_string();
+}
+
+namespace {
+
+using extradeep::linalg::Matrix;
+
+/// Outcome of the reference search: the selected hypothesis and its fit.
+struct ReferenceFit {
+    bool valid = false;
+    std::size_t index = 0;
+    std::vector<double> coefficients;
+    double fit_smape = 0.0;
+    double cv_smape = 0.0;
+    double rss = 0.0;
+    Matrix cov_unscaled;
+};
+
+/// The single-parameter hypothesis search as one loop per hypothesis:
+/// basis from Term::basis, one-shot reference least squares on the full
+/// system and on every leave-one-out subset, selection by the first strict
+/// minimum of the penalised CV SMAPE. No factorisation is shared.
+ReferenceFit reference_fit(const FitOptions& options,
+                           const std::vector<double>& xs,
+                           const std::vector<double>& ys) {
+    const auto hypotheses = options.space.single_parameter_hypotheses(0);
+    const std::size_t n = xs.size();
+    ReferenceFit best;
+    double best_score = std::numeric_limits<double>::infinity();
+    for (std::size_t h = 0; h < hypotheses.size(); ++h) {
+        const auto& terms = hypotheses[h];
+        const std::size_t k = terms.size() + 1;
+        if (!(n >= k + 1 || (n == k && terms.empty()))) {
+            continue;
+        }
+        Matrix basis(n, k);
+        bool finite = true;
+        for (std::size_t r = 0; r < n; ++r) {
+            basis(r, 0) = 1.0;
+            for (std::size_t t = 0; t < terms.size(); ++t) {
+                basis(r, t + 1) =
+                    terms[t].basis(std::span<const double>(&xs[r], 1));
+                finite = finite && std::isfinite(basis(r, t + 1));
+            }
+        }
+        if (!finite) {
+            continue;
+        }
+        const auto full = reference::least_squares(basis, ys);
+        if (full.rank_deficient) {
+            continue;
+        }
+        bool ok = true;
+        for (const double c : full.coefficients) {
+            ok = ok && std::isfinite(c);
+        }
+        if (!ok) {
+            continue;
+        }
+        std::vector<double> predicted(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            double v = 0.0;
+            for (std::size_t c = 0; c < k; ++c) {
+                v += basis(i, c) * full.coefficients[c];
+            }
+            predicted[i] = v;
+        }
+        const double fit_smape = extradeep::stats::smape(predicted, ys);
+        double cv_smape = fit_smape * 4.0 + 1.0;
+        if (n >= k + 1) {
+            std::vector<double> cv_pred(n);
+            for (std::size_t leave = 0; leave < n && ok; ++leave) {
+                Matrix a(n - 1, k);
+                std::vector<double> b;
+                for (std::size_t i = 0, r = 0; i < n; ++i) {
+                    if (i == leave) {
+                        continue;
+                    }
+                    for (std::size_t c = 0; c < k; ++c) {
+                        a(r, c) = basis(i, c);
+                    }
+                    b.push_back(ys[i]);
+                    ++r;
+                }
+                const auto part = reference::least_squares(a, b);
+                double v = 0.0;
+                for (std::size_t c = 0; c < k; ++c) {
+                    v += basis(leave, c) * part.coefficients[c];
+                }
+                ok = !part.rank_deficient && std::isfinite(v);
+                cv_pred[leave] = v;
+            }
+            if (!ok) {
+                continue;
+            }
+            cv_smape = extradeep::stats::smape(cv_pred, ys);
+        }
+        const double score =
+            cv_smape *
+            (1.0 + options.term_penalty * static_cast<double>(terms.size()));
+        if (!best.valid || score < best_score) {
+            best_score = score;
+            best.valid = true;
+            best.index = h;
+            best.coefficients = full.coefficients;
+            best.fit_smape = fit_smape;
+            best.cv_smape = cv_smape;
+            best.rss = full.residual_norm * full.residual_norm;
+            best.cov_unscaled = full.covariance_unscaled;
+        }
+    }
+    return best;
+}
+
+bool same_bits(double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+/// The model must be the reference's selection, bit for bit.
+void expect_matches_reference(const PerformanceModel& m,
+                              const ReferenceFit& ref,
+                              const FitOptions& options, std::size_t n) {
+    const auto hypotheses = options.space.single_parameter_hypotheses(0);
+    const auto& terms = hypotheses[ref.index];
+    ASSERT_EQ(m.terms().size(), terms.size());
+    EXPECT_TRUE(same_bits(m.constant(), ref.coefficients[0]));
+    for (std::size_t t = 0; t < terms.size(); ++t) {
+        EXPECT_EQ(m.terms()[t].factors, terms[t].factors);
+        EXPECT_TRUE(same_bits(m.terms()[t].coefficient, ref.coefficients[t + 1]));
+    }
+    EXPECT_TRUE(same_bits(m.quality().fit_smape, ref.fit_smape));
+    EXPECT_TRUE(same_bits(m.quality().cv_smape, ref.cv_smape));
+    EXPECT_TRUE(same_bits(m.quality().rss, ref.rss));
+    EXPECT_EQ(m.quality().hypotheses_searched,
+              static_cast<int>(hypotheses.size()));
+    const int dof = static_cast<int>(n) - static_cast<int>(terms.size()) - 1;
+    ASSERT_EQ(m.has_fit_info(), dof >= 1);
+    if (dof >= 1) {
+        EXPECT_TRUE(same_bits(m.residual_variance(), ref.rss / dof));
+        const Matrix& cov = m.cov_unscaled();
+        ASSERT_EQ(cov.rows(), ref.cov_unscaled.rows());
+        ASSERT_EQ(cov.cols(), ref.cov_unscaled.cols());
+        for (std::size_t r = 0; r < cov.rows(); ++r) {
+            for (std::size_t c = 0; c < cov.cols(); ++c) {
+                EXPECT_TRUE(same_bits(cov(r, c), ref.cov_unscaled(r, c)));
+            }
+        }
+    }
+}
+
+}  // namespace
+
+TEST(Fitter, SharedDesignBitIdenticalToDirectFit) {
+    // One design per xs, many series: every fit against the shared design
+    // and every one-off fit(xs, ys) must select and report exactly what the
+    // per-hypothesis reference loop does.
+    struct Case {
+        const char* name;
+        int max_terms;
+        bool negative_exponents;
+        std::vector<double> xs;
+    };
+    // Four points at 2 * (1 + j 1e-8) and one far away: every non-constant
+    // 1-term system with all five points is well conditioned, but leaving
+    // out x = 64 leaves near-collinear columns whose R passes the pivot
+    // tolerance while A^T A fails the Cholesky test.
+    const std::vector<double> cholesky_xs = {2.0, 2.0 * (1.0 + 1e-8),
+                                             2.0 * (1.0 + 2e-8),
+                                             2.0 * (1.0 + 3e-8), 64.0};
+    const std::vector<Case> cases = {
+        {"1-term, min_points", 1, false, {2, 4, 8, 16, 32}},
+        {"1-term, repeated xs", 1, false, {2, 2, 4, 4, 8, 8}},
+        {"1-term, negative exponents", 1, true, {1, 2, 4, 8, 16, 32}},
+        {"1-term, non-finite basis", 1, false, {2, 4, 8, 16, 1e120}},
+        {"1-term, LOO fails Cholesky only", 1, false, cholesky_xs},
+        {"2-term", 2, false, {2, 4, 6, 8, 12, 16, 24}},
+        {"2-term, negative exponents", 2, true, {1, 2, 4, 8, 16, 32}},
+    };
+    {
+        // The Cholesky-only case really occurs: x^1 passes on all five
+        // points, and without x = 64 R keeps every pivot but A^T A is not
+        // numerically SPD.
+        Matrix full(5, 2);
+        Matrix loo(4, 2);
+        for (std::size_t r = 0; r < 5; ++r) {
+            full(r, 0) = 1.0;
+            full(r, 1) = cholesky_xs[r];
+            if (r < 4) {
+                loo(r, 0) = 1.0;
+                loo(r, 1) = cholesky_xs[r];
+            }
+        }
+        EXPECT_FALSE(extradeep::linalg::qr_factor(full).rank_deficient);
+        const auto f = extradeep::linalg::qr_factor(loo);
+        EXPECT_TRUE(f.rank_deficient);
+        EXPECT_EQ(f.a.rows(), 0u) << "R has a zero pivot: not Cholesky-only";
+    }
+
+    Rng rng(17);
+    int fitted = 0;
+    int rejected = 0;
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        FitOptions options;
+        options.space.max_terms = c.max_terms;
+        options.space.include_negative_exponents = c.negative_exponents;
+        const ModelGenerator gen(options);
+        const ModelGenerator::Design design = gen.design(c.xs);
+
+        std::vector<std::vector<double>> series;
+        auto add = [&](auto f, double noise) {
+            std::vector<double> ys;
+            for (const double x : c.xs) {
+                ys.push_back(f(x) * rng.lognormal_factor(noise));
+            }
+            series.push_back(ys);
+        };
+        add([](double x) { return 3.0 + 2.0 * x; }, 0.0);
+        add([](double x) { return 10.0 + 3.0 * x; }, 0.03);
+        add([](double x) { return 5.0 + std::log2(x); }, 0.05);
+        add([](double x) { return 1.0 + 0.5 * x * std::sqrt(x); }, 0.02);
+        add([](double x) { return 100.0 / x + 5.0; }, 0.02);
+        add([](double) { return 7.0; }, 0.01);
+        // Magnitudes near the double limit: reflections and back
+        // substitution overflow, so coefficients turn non-finite.
+        add([](double x) { return 1.7e308 / (1.0 + std::log2(x)); }, 0.0);
+        series.push_back({});
+        for (std::size_t i = 0; i < c.xs.size(); ++i) {
+            series.back().push_back(i % 2 == 0 ? 1.7e308 : -1.7e308);
+        }
+
+        for (std::size_t s = 0; s < series.size(); ++s) {
+            SCOPED_TRACE("series " + std::to_string(s));
+            const auto& ys = series[s];
+            const ReferenceFit ref = reference_fit(options, c.xs, ys);
+            if (!ref.valid) {
+                ++rejected;
+                EXPECT_THROW(gen.fit(design, ys), extradeep::NumericalError);
+                EXPECT_THROW(gen.fit(c.xs, ys), extradeep::NumericalError);
+                continue;
+            }
+            ++fitted;
+            const PerformanceModel shared = gen.fit(design, ys);
+            const PerformanceModel direct = gen.fit(c.xs, ys);
+            expect_matches_reference(shared, ref, options, c.xs.size());
+            expect_matches_reference(direct, ref, options, c.xs.size());
+            EXPECT_TRUE(same_bits(shared.quality().r_squared,
+                                  direct.quality().r_squared));
+            EXPECT_EQ(shared.to_string(), direct.to_string());
+        }
+    }
+    EXPECT_GT(fitted, 40);
+    EXPECT_GT(rejected, 0);
+}
+
+TEST(Fitter, DesignValidatesItsInputs) {
+    const ModelGenerator gen;
+    EXPECT_THROW(gen.design({1, 2, 3}), InvalidArgumentError);
+    const auto design = gen.design({2, 4, 8, 16, 32});
+    EXPECT_THROW(gen.fit(design, {1, 2, 3}), InvalidArgumentError);
+    EXPECT_THROW(gen.fit(design, {1, 2, 3, 4, std::nan("")}),
+                 InvalidArgumentError);
 }
