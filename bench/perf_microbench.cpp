@@ -5,11 +5,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "aggregation/aggregate.hpp"
 #include "common/rng.hpp"
+#include "extradeep/ingest.hpp"
 #include "modeling/fitter.hpp"
 #include "obs/trace.hpp"
 #include "profiling/edp_io.hpp"
@@ -170,6 +175,35 @@ void BM_EdpRead(benchmark::State& state) {
                             static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_EdpRead)->Unit(benchmark::kMillisecond);
+
+// Streaming ingest of a small on-disk corpus (one run at each of 2, 4, 6, 8
+// and 10 ranks): the EDP reader, the per-file digest with its interned
+// kernel ids, and the per-rank reduction, on one thread.
+void BM_StreamIngest(benchmark::State& state) {
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() / "extradeep-bench-ingest-";
+    dir += std::to_string(::getpid());
+    fs::create_directories(dir);
+    std::vector<std::string> paths;
+    std::int64_t bytes = 0;
+    for (const int ranks : {2, 4, 6, 8, 10}) {
+        const std::string path =
+            (dir / (std::to_string(ranks) + ".edp")).string();
+        std::ofstream os(path);
+        profiling::write_edp(os, sample_runs(ranks, 1).front());
+        bytes += static_cast<std::int64_t>(os.tellp());
+        paths.push_back(path);
+    }
+    IngestOptions options;
+    options.num_threads = 1;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ingest_edp_files(paths, options));
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            bytes);
+    fs::remove_all(dir);
+}
+BENCHMARK(BM_StreamIngest)->Unit(benchmark::kMillisecond);
 
 /// A serving engine over one fitted model, shared by every benchmark thread
 /// (the engine is thread-safe; that contention is exactly what the

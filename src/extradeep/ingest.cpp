@@ -38,11 +38,12 @@ struct StreamedFile {
 
 /// One pass over an EDP file: folds records into (a) a marks-only skeleton
 /// run for validation and (b) per-rank reduced aggregates. Buffers at most
-/// one rank block (the current rank's marks + events) at a time — event
-/// assignment to step windows sorts the whole rank's events by start time,
-/// so a rank must be complete before it can be reduced bit-identically to
-/// aggregate_runs over the parsed run. Throws like read_edp_file in strict
-/// mode (and on unopenable files in any mode).
+/// one rank block (the current rank's marks + compact events) at a time —
+/// event assignment to step windows orders the whole rank's events by start
+/// time, so a rank must be complete before it can be reduced bit-identically
+/// to aggregate_runs over the parsed run. Event names are interned once per
+/// file, so a buffered event holds a kernel id, not a string. Throws like
+/// read_edp_file in strict mode (and on unopenable files in any mode).
 StreamedFile stream_digest_file(const std::string& path,
                                 const IngestOptions& options) {
     const obs::Span span{"ingest.stream_edp"};
@@ -55,7 +56,11 @@ StreamedFile stream_digest_file(const std::string& path,
     profiling::EdpStreamReader reader(is, read_options);
 
     profiling::ProfiledRun skeleton;  // params/rep/wall + marks-only ranks
-    trace::RankTrace current;         // in-flight rank block (marks + events)
+    // In-flight rank block; the event vector keeps its capacity across
+    // ranks, and the name table lives for the file.
+    trace::RankTrace current;  // rank id + marks
+    std::vector<aggregation::KernelEvent> events;
+    aggregation::KernelNames names;
     bool have_rank = false;
     aggregation::RunAggregator run_agg;
     // A rank whose marks do not segment makes the whole aggregate unusable;
@@ -67,17 +72,16 @@ StreamedFile stream_digest_file(const std::string& path,
         if (!have_rank) return;
         if (aggregate_ok) {
             try {
-                run_agg.add_rank(current,
-                                 options.aggregation.discard_warmup_epochs);
+                run_agg.add_rank_values(aggregation::aggregate_rank_events(
+                    current.marks, events, names.names(),
+                    options.aggregation.discard_warmup_epochs));
             } catch (const ParseError&) {
                 aggregate_ok = false;
             }
         }
-        trace::RankTrace marks_only;
-        marks_only.rank = current.rank;
-        marks_only.marks = std::move(current.marks);
-        skeleton.ranks.push_back(std::move(marks_only));
+        skeleton.ranks.push_back(std::move(current));
         current = trace::RankTrace{};
+        events.clear();
         have_rank = false;
     };
 
@@ -102,7 +106,10 @@ StreamedFile stream_digest_file(const std::string& path,
                 current.marks.push_back(rec.mark);
                 break;
             case profiling::EdpRecord::Kind::Event:
-                current.events.push_back(rec.event);
+                events.push_back({names.intern(rec.event.name),
+                                  rec.event.category, rec.event.start,
+                                  rec.event.duration, rec.event.bytes,
+                                  rec.event.visits});
                 break;
             case profiling::EdpRecord::Kind::End:
                 break;

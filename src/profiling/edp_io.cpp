@@ -27,7 +27,8 @@ void check_name(const std::string& name) {
     if (name.find('\t') != std::string::npos ||
         name.find('\n') != std::string::npos ||
         name.find('\r') != std::string::npos) {
-        throw InvalidArgumentError("EDP: name contains tab/newline: " + name);
+        throw InvalidArgumentError(
+            "EDP: name contains tab/newline/carriage-return: " + name);
     }
 }
 

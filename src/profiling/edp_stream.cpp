@@ -25,14 +25,13 @@ NvtxMark::Kind parse_mark_kind(std::string_view s) {
     throw ParseError("EDP: unknown mark kind '" + std::string(s) + "'");
 }
 
-bool name_is_clean(std::string_view name) {
-    return name.find_first_of("\t\n\r") == std::string_view::npos;
-}
-
-/// Read-path name guard: a name with an embedded tab/newline can only come
-/// from a hand-edited file and would desynchronise the line-based format.
+/// Read-path name guard: a name with an embedded tab/newline/carriage
+/// return can only come from a hand-edited file and would desynchronise the
+/// line-based format. The name is a field of a getline line split on tabs,
+/// so it cannot hold a tab or a newline by construction; only a carriage
+/// return needs a scan. The message names all three, like the write path's.
 void check_read_name(std::string_view name, const char* what) {
-    if (!name_is_clean(name)) {
+    if (name.find('\r') != std::string_view::npos) {
         throw ParseError(std::string("EDP: ") + what +
                          " contains tab/newline/carriage-return");
     }

@@ -44,8 +44,11 @@ struct EdpRecord {
 /// Memory behaviour: the reader holds one input line plus views of its
 /// tab-separated fields into that line, one record, and the set of rank ids
 /// seen so far. Strings are built only for the names a record keeps and for
-/// diagnostic text. It never buffers events or marks, so its footprint is
-/// independent of the profile size.
+/// diagnostic text; a caller that reuses one EdpRecord reuses their
+/// capacity, so an event costs no allocation once it is warm. It never
+/// buffers events or marks, so its footprint is independent of the profile
+/// size. The streaming ingest interns each event name into a per-file table
+/// and keeps no string per event either (DESIGN.md §13.1).
 ///
 /// Usage:
 ///

@@ -26,9 +26,22 @@ double RankTrace::wall_time() const {
 }
 
 std::vector<StepWindow> segment_steps(const RankTrace& trace) {
+    std::vector<StepWindow> windows = step_windows(trace.marks);
+    std::vector<double> starts;
+    starts.reserve(trace.events.size());
+    for (const auto& e : trace.events) {
+        starts.push_back(e.start);
+    }
+    for (const EventPlacement& p : place_events(windows, starts)) {
+        windows[p.window].event_indices.push_back(p.event);
+    }
+    return windows;
+}
+
+std::vector<StepWindow> step_windows(std::span<const NvtxMark> input) {
     // Sort marks by time; the simulator emits them ordered, but external
     // profiles (EDP files) may not be.
-    std::vector<NvtxMark> marks = trace.marks;
+    std::vector<NvtxMark> marks(input.begin(), input.end());
     // Ties in time are resolved by nesting order: an epoch opens before its
     // first step, a step closes before the next one opens, and all steps
     // close before their epoch does. This makes back-to-back marks with
@@ -125,19 +138,30 @@ std::vector<StepWindow> segment_steps(const RankTrace& trace) {
     if (in_epoch || in_step) {
         throw ParseError("segment_steps: trace ends inside an open epoch/step");
     }
+    return windows;
+}
 
-    // Assign events to windows by start time. Windows are disjoint and
-    // ordered, so a single merge pass suffices.
-    std::vector<std::size_t> order(trace.events.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return trace.events[a].start < trace.events[b].start;
-                     });
+std::vector<EventPlacement> place_events(std::span<const StepWindow> windows,
+                                         std::span<const double> starts) {
+    // Visit events in stable start order. Windows are disjoint and ordered,
+    // so a single merge pass suffices.
+    std::vector<std::size_t> order;
+    const bool sorted = std::is_sorted(starts.begin(), starts.end());
+    if (!sorted) {
+        order.resize(starts.size());
+        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return starts[a] < starts[b];
+                         });
+    }
 
+    std::vector<EventPlacement> placed;
+    placed.reserve(starts.size());
     std::size_t w = 0;
-    for (std::size_t idx : order) {
-        const double t = trace.events[idx].start;
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+        const std::size_t idx = sorted ? i : order[i];
+        const double t = starts[idx];
         while (w < windows.size() && windows[w].end <= t) {
             ++w;
         }
@@ -145,12 +169,12 @@ std::vector<StepWindow> segment_steps(const RankTrace& trace) {
             break;  // event after the last epoch: teardown, ignored
         }
         if (t >= windows[w].start) {
-            windows[w].event_indices.push_back(idx);
+            placed.push_back({idx, w});
         }
         // else: event before the first window of its region (e.g. program
         // initialisation before epoch 0) -> ignored here.
     }
-    return windows;
+    return placed;
 }
 
 std::vector<StepWindow> windows_of_epoch(const std::vector<StepWindow>& windows,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "trace/event.hpp"
@@ -40,7 +41,28 @@ struct StepWindow {
 /// Events before the first epoch or after the last are ignored (program
 /// initialisation / teardown, modeled separately).
 /// Throws ParseError if the marks are not properly nested/ordered.
+/// Equivalent to step_windows followed by place_events.
 std::vector<StepWindow> segment_steps(const RankTrace& trace);
+
+/// The mark half of segment_steps: the time-ordered, disjoint step and
+/// async-gap windows, with event_indices left empty. Throws ParseError if
+/// the marks are not properly nested/ordered.
+std::vector<StepWindow> step_windows(std::span<const NvtxMark> marks);
+
+/// One event that place_events put into a window.
+struct EventPlacement {
+    std::size_t event = 0;   ///< index into the start times
+    std::size_t window = 0;  ///< index into the windows
+};
+
+/// The event half of segment_steps: places events, given by their start
+/// times, into `windows` (from step_windows). Returns the events that start
+/// inside a window, in stable start order. Start times that are already
+/// non-decreasing (the order EDP files and the simulator write) are not
+/// sorted: a stable sort of sorted input is the identity, so ties keep their
+/// input order on both paths.
+std::vector<EventPlacement> place_events(std::span<const StepWindow> windows,
+                                         std::span<const double> starts);
 
 /// Convenience filter: all windows of a given epoch.
 std::vector<StepWindow> windows_of_epoch(const std::vector<StepWindow>& windows,

@@ -8,6 +8,7 @@
 
 #include "aggregation/aggregate.hpp"
 #include "aggregation/validate.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fault_injection.hpp"
 #include "profiling/edp_io.hpp"
@@ -334,4 +335,60 @@ TEST(EdpFaultInjection, MutatorsAreDeterministic) {
     Rng a(556), b(556);
     EXPECT_EQ(edpfuzz::apply_random_mutations(bytes, a, 3),
               edpfuzz::apply_random_mutations(bytes, b, 3));
+}
+
+TEST(EdpNameGuard, CarriageReturnInNameRejectedInBothModes) {
+    // A field of a line split on tabs cannot hold a tab or a newline, so the
+    // read-path guard scans only for '\r'; its message still names all
+    // three, in strict mode (thrown) and tolerant mode (a Warning on the
+    // line, record skipped).
+    const std::string header = "EDP\t1\nP\tx1\t4\nREP\t0\nWALL\t2.5\n";
+    const std::string event = "E\tgemm\tCUDA kernel\t0.5\t0.25\t3\t0\n";
+    struct Case {
+        std::string text;
+        long long line;
+        std::string reason;
+    };
+    const std::vector<Case> cases = {
+        {header + "RANK\t0\nE\tge\rmm\tCUDA kernel\t0.5\t0.25\t3\t0\n" +
+             event + "END\n",
+         6, "EDP: event name contains tab/newline/carriage-return"},
+        {header + "P\tx\r2\t8\nRANK\t0\n" + event + "END\n", 5,
+         "EDP: param name contains tab/newline/carriage-return"},
+    };
+    for (const Case& c : cases) {
+        std::istringstream strict(c.text);
+        try {
+            profiling::read_edp(strict);
+            ADD_FAILURE() << "strict read accepted " << c.reason;
+        } catch (const ParseError& e) {
+            EXPECT_EQ(std::string(e.what()), c.reason);
+        }
+
+        const profiling::EdpReadResult result = tolerant_read(c.text);
+        EXPECT_TRUE(result.ok()) << result.diagnostics.summary();
+        ASSERT_EQ(result.diagnostics.total(), 1u)
+            << result.diagnostics.summary();
+        const Diagnostic& d = result.diagnostics.entries()[0];
+        EXPECT_EQ(d.severity, Severity::Warning);
+        EXPECT_EQ(d.line, c.line);
+        EXPECT_EQ(d.reason, c.reason);
+        EXPECT_EQ(result.run.params.count("x\r2"), 0u);
+        ASSERT_EQ(result.run.ranks.size(), 1u);
+        ASSERT_EQ(result.run.ranks[0].events.size(), 1u);
+        EXPECT_EQ(result.run.ranks[0].events[0].name, "gemm");
+    }
+
+    // The write path refuses the same names, with the message its header
+    // documents.
+    profiling::ProfiledRun run;
+    run.params = {{"x\r1", 1.0}};
+    std::ostringstream os;
+    try {
+        profiling::write_edp(os, run);
+        ADD_FAILURE() << "write_edp accepted a carriage return";
+    } catch (const InvalidArgumentError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "EDP: name contains tab/newline/carriage-return: x\r1");
+    }
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -15,11 +17,15 @@
 #include <string>
 #include <vector>
 
+#include "aggregation/metrics.hpp"
+#include "aggregation/stream.hpp"
 #include "common/error.hpp"
+#include "extradeep/models.hpp"
 #include "fleet/continuous.hpp"
 #include "fleet/spool.hpp"
 #include "obs/clock.hpp"
 #include "profiling/edp_io.hpp"
+#include "reference_aggregate.hpp"
 #include "serve/query.hpp"
 #include "serve/registry.hpp"
 #include "serve/serialize.hpp"
@@ -289,6 +295,49 @@ TEST(FleetService, IngestRefitServe) {
     // And it is servable through the ordinary query engine.
     serve::QueryEngine engine(fx.registry);
     EXPECT_EQ(engine.execute("predict demo 10").substr(0, 5), "ok t=");
+}
+
+TEST(FleetService, PushedRunsReduceLikeTheReference) {
+    // The push path reduces each run through the shared interned core. Its
+    // window is private, so the check goes through the exported modeling
+    // points: every EPOCHV value (hexfloat in the .edpm) is Eq. 6 over the
+    // configuration's aggregate, and must match, bit for bit, the same
+    // value computed from the string-keyed reference reduction.
+    Fixture fx("reference");
+    const ExperimentSpec& spec = test_spec();
+    const StepMathFn step_math = make_step_math_fn(
+        spec.dataset, spec.strategy, spec.model_parallel_degree,
+        spec.scaling, spec.batch_per_worker);
+    std::vector<double> want;
+    for (const int r : modeling_ranks()) {
+        aggregation::ConfigAggregator config;
+        for (int rep = 0; rep < 2; ++rep) {
+            const std::string bytes = run_edp_bytes(r, rep);
+            ingest_ok(*fx.service, "demo", bytes);
+            std::istringstream is(bytes);
+            const profiling::ProfiledRun run = profiling::read_edp(is);
+            aggregation::RunAggregator reduced;
+            for (const auto& rank : run.ranks) {
+                reduced.add_rank_values(reference::aggregate_rank_trace(
+                    rank, spec.sampling.discard_warmup_epochs));
+            }
+            config.add_run(run.params, reduced.finish());
+        }
+        want.push_back(aggregation::derived_epoch_total(
+            config.finish(), step_math(r), aggregation::Metric::Time));
+    }
+    fx.service->drain();
+    ASSERT_EQ(fx.service->stats().accepted, 2 * modeling_ranks().size());
+
+    const serve::ServableModel model =
+        serve::read_edpm_file((fx.models / "demo.edpm").string());
+    ASSERT_EQ(model.epoch_time_values.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(model.epoch_time_values[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << "x1=" << model.modeling_xs[i] << ": "
+            << model.epoch_time_values[i] << " vs " << want[i];
+    }
 }
 
 TEST(FleetService, RestartServesPreviousExports) {
