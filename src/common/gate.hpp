@@ -7,8 +7,8 @@
 
 namespace extradeep::gate {
 
-/// Shared threshold-gate core. The regression gates (eval accuracy, perf
-/// throughput, what-if advisor, fleet drift, serve load, plan budget) all
+/// Shared threshold-gate core. The regression gates (eval accuracy,
+/// what-if advisor, fleet drift, plan budget, ledger performance) all
 /// enforce the same "rules match samples" semantics: wildcard scope "*",
 /// wildcard noise (negative), optional min/max bounds, and the
 /// unmatched-rule-is-a-violation guard - a renamed metric or removed case
@@ -18,7 +18,7 @@ namespace extradeep::gate {
 
 /// One measured data point a gate rule can match.
 struct Sample {
-    std::string scope;      ///< case name / loadgen mode / plan case
+    std::string scope;      ///< case name / ledger workload / plan case
     double noise = -1.0;    ///< noise level; negative = not applicable
     std::string metric;
     double value = 0.0;

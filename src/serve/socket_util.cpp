@@ -14,6 +14,27 @@
 
 namespace extradeep::serve {
 
+namespace {
+
+/// Applies SO_RCVTIMEO (no-op for timeout_ms <= 0). Throws Error if
+/// setsockopt fails: a silently missing timeout would let a dead peer hang
+/// the caller forever, which is exactly the failure the timeout exists to
+/// prevent.
+void set_recv_timeout(int fd, int timeout_ms) {
+    if (timeout_ms <= 0) {
+        return;
+    }
+    timeval tv{};
+    tv.tv_sec = timeout_ms / 1000;
+    tv.tv_usec = static_cast<decltype(tv.tv_usec)>((timeout_ms % 1000) * 1000);
+    if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
+        throw Error(std::string("serve: setsockopt(SO_RCVTIMEO) failed: ") +
+                    std::strerror(errno));
+    }
+}
+
+}  // namespace
+
 void FdGuard::reset(int fd) {
     if (fd_ >= 0) {
         // Retrying close on EINTR is wrong on Linux (the fd is released
@@ -26,24 +47,6 @@ void FdGuard::reset(int fd) {
 bool set_nonblocking(int fd) {
     const int flags = ::fcntl(fd, F_GETFL, 0);
     return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-bool set_cloexec(int fd) {
-    const int flags = ::fcntl(fd, F_GETFD, 0);
-    return flags >= 0 && ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC) == 0;
-}
-
-void set_recv_timeout(int fd, int timeout_ms) {
-    if (timeout_ms <= 0) {
-        return;
-    }
-    timeval tv{};
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = static_cast<decltype(tv.tv_usec)>((timeout_ms % 1000) * 1000);
-    if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
-        throw Error(std::string("serve: setsockopt(SO_RCVTIMEO) failed: ") +
-                    std::strerror(errno));
-    }
 }
 
 bool send_all(int fd, const std::string& data) {

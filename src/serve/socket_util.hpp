@@ -6,11 +6,11 @@
 namespace extradeep::serve {
 
 /// POSIX socket plumbing shared by the serve daemon (server.cpp), the
-/// blocking protocol client (query_daemon) and the load generator
-/// (loadgen.cpp). Everything here is EINTR-correct: an interrupted syscall
-/// is retried, never mistaken for EOF or a fatal error, and a receive
-/// timeout (EAGAIN/EWOULDBLOCK on a socket with SO_RCVTIMEO) is reported
-/// distinctly from a real error.
+/// blocking protocol client (query_daemon) and the pipeline benchmark's
+/// load client (bench/ledger/client.cpp). Everything here is EINTR-correct:
+/// an interrupted syscall is retried, never mistaken for EOF or a fatal
+/// error, and a receive timeout (EAGAIN/EWOULDBLOCK on a socket with
+/// SO_RCVTIMEO) is reported distinctly from a real error.
 
 /// RAII owner of a file descriptor; closes on destruction unless released.
 /// Exists so no constructor/start path can leak an fd when a later step
@@ -46,16 +46,9 @@ private:
     int fd_ = -1;
 };
 
-/// O_NONBLOCK / FD_CLOEXEC via fcntl, for fds not created with the
-/// SOCK_NONBLOCK / SOCK_CLOEXEC creation flags. Return false on failure.
+/// O_NONBLOCK via fcntl, for fds not created with the SOCK_NONBLOCK
+/// creation flag. Returns false on failure.
 bool set_nonblocking(int fd);
-bool set_cloexec(int fd);
-
-/// Applies SO_RCVTIMEO (no-op for timeout_ms <= 0). Throws Error if
-/// setsockopt fails: a silently missing timeout would let a dead peer hang
-/// the caller forever, which is exactly the failure the timeout exists to
-/// prevent.
-void set_recv_timeout(int fd, int timeout_ms);
 
 /// Sends the whole buffer (MSG_NOSIGNAL), retrying interrupted and
 /// would-block sends on a blocking socket. Returns false on a real error or

@@ -361,8 +361,8 @@ TEST(GateCore, ParsesEvalDialect) {
 }
 
 TEST(GateCore, ParsesServeDialect) {
-    // Serve load rules are written in the one thresholds dialect: the
-    // loadgen mode is the record case and noise stays a wildcard.
+    // Performance rules are written in the one thresholds dialect: the
+    // workload is the record case and noise stays a wildcard.
     const std::vector<gate::Rule> rules = gate::parse_rules(
         R"({"thresholds": [{"case": "closed", "metric": "qps", "min": 100.0},
                            {"case": "*", "metric": "errors", "max": 0}]})");

@@ -29,9 +29,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/json.hpp"
 #include "obs/clock.hpp"
-#include "serve/loadgen.hpp"
 #include "serve/query.hpp"
 #include "serve/registry.hpp"
 #include "serve/serialize.hpp"
@@ -974,152 +972,6 @@ TEST(ModelRegistry, ConcurrentReadersDuringReloadAlwaysFindModels) {
     }
     EXPECT_EQ(misses.load(), 0);
     EXPECT_EQ(registry.size(), names.size() + 20u);
-}
-
-// ---------------------------------------------------------------------------
-// Load generator
-// ---------------------------------------------------------------------------
-
-TEST(LoadGen, ClosedLoopMeasuresEveryResponse) {
-    auto engine = engine_over(test_model());
-    serve::ServerOptions options;
-    options.threads = 2;
-    serve::ServeDaemon daemon(engine, options);
-    daemon.start();
-
-    serve::LoadGenOptions lg;
-    lg.port = daemon.port();
-    lg.connections = 4;
-    lg.requests_per_connection = 25;
-    lg.pipeline_depth = 4;
-    lg.mode = serve::LoadMode::Closed;
-    lg.requests = {"ping", "predict cifar10-weak 16"};
-    const serve::LoadGenResult result = serve::run_load(lg);
-    EXPECT_EQ(result.requests_sent, 100u);
-    EXPECT_EQ(result.responses_received, 100u);
-    EXPECT_EQ(result.error_responses, 0u);
-    EXPECT_GT(result.qps, 0.0);
-    EXPECT_GT(result.wall_seconds, 0.0);
-    EXPECT_GE(result.latency_p95_us, result.latency_p50_us);
-    EXPECT_GE(result.latency_p99_us, result.latency_p95_us);
-    // Exact sample quantiles never exceed the largest sample (histogram
-    // bucket edges did: a 45 ms maximum reported a 50 ms p99).
-    EXPECT_LE(result.latency_p99_us, result.latency_max_us);
-    EXPECT_GE(result.latency_mean_us, 0.0);
-    EXPECT_LE(result.latency_mean_us, result.latency_max_us);
-    daemon.stop();
-    daemon.wait();
-}
-
-TEST(LoadGen, OpenLoopCountsErrorResponses) {
-    auto engine = engine_over(test_model());
-    serve::ServeDaemon daemon(engine, serve::ServerOptions{});
-    daemon.start();
-
-    serve::LoadGenOptions lg;
-    lg.port = daemon.port();
-    lg.connections = 2;
-    lg.requests_per_connection = 10;
-    lg.mode = serve::LoadMode::Open;
-    lg.requests = {"ping", "predict nosuch 16"};  // every 2nd is a protocol err
-    const serve::LoadGenResult result = serve::run_load(lg);
-    EXPECT_EQ(result.responses_received, 20u);
-    EXPECT_EQ(result.error_responses, 10u);
-    daemon.stop();
-    daemon.wait();
-}
-
-TEST(LoadGen, RejectsBadOptions) {
-    serve::LoadGenOptions lg;
-    lg.requests = {"ping"};
-    EXPECT_THROW(serve::run_load(lg), InvalidArgumentError);  // port unset
-    lg.port = 1;
-    lg.connections = 0;
-    EXPECT_THROW(serve::run_load(lg), InvalidArgumentError);
-    lg.connections = 1;
-    lg.requests.clear();
-    EXPECT_THROW(serve::run_load(lg), InvalidArgumentError);
-}
-
-std::vector<eval::MetricRecord> fake_records() {
-    serve::LoadGenResult closed;
-    closed.qps = 1000.0;
-    closed.latency_p99_us = 5000.0;
-    closed.error_responses = 0;
-    closed.responses_received = 400;
-    serve::LoadGenResult open = closed;
-    open.qps = 2000.0;
-    std::vector<eval::MetricRecord> records =
-        serve::to_records("closed", closed);
-    for (eval::MetricRecord& r : serve::to_records("open", open)) {
-        records.push_back(std::move(r));
-    }
-    return records;
-}
-
-eval::GateResult check(const std::vector<eval::MetricRecord>& records,
-                       const std::string& thresholds) {
-    return eval::check_gate(records, gate::parse_rules(thresholds));
-}
-
-TEST(LoadGen, ThresholdsPassAndFailCorrectly) {
-    const auto records = fake_records();
-    const eval::GateResult ok = check(records, R"({"thresholds": [
-        {"case": "*", "metric": "errors", "max": 0},
-        {"case": "closed", "metric": "qps", "min": 500},
-        {"case": "open", "metric": "latency_p99_us", "max": 10000}]})");
-    EXPECT_TRUE(ok.pass);
-    EXPECT_EQ(ok.records_matched, 4u);  // errors x2, closed qps, open p99
-    // min violated on the closed record only.
-    const eval::GateResult min_violation =
-        check(records, R"({"thresholds": [
-                   {"case": "closed", "metric": "qps", "min": 1500}]})");
-    ASSERT_EQ(min_violation.violations.size(), 1u);
-    EXPECT_NE(min_violation.violations[0].find("closed"), std::string::npos);
-    EXPECT_NE(min_violation.violations[0].find("< min"), std::string::npos);
-    // A wildcard rule checks every record: one of the two trips it.
-    EXPECT_EQ(check(records, R"({"thresholds": [{"case": "*", "metric": "qps",
-                                                 "max": 1500}]})")
-                  .violations.size(),
-              1u);
-}
-
-TEST(LoadGen, StaleThresholdRuleIsAViolation) {
-    const auto records = fake_records();
-    const eval::GateResult stale_mode = check(
-        records,
-        R"({"thresholds": [{"case": "burst", "metric": "qps", "min": 1}]})");
-    ASSERT_EQ(stale_mode.violations.size(), 1u);
-    EXPECT_NE(stale_mode.violations[0].find("matched no record"),
-              std::string::npos);
-    const eval::GateResult unknown = check(
-        records,
-        R"({"thresholds": [{"case": "*", "metric": "nosuch", "min": 1}]})");
-    ASSERT_EQ(unknown.violations.size(), 1u);
-    EXPECT_NE(unknown.violations[0].find("matched no record"),
-              std::string::npos);
-    EXPECT_THROW(check(records, R"({"no_thresholds": []})"), ParseError);
-}
-
-TEST(LoadGen, ReportUsesTheStandardRecordLayout) {
-    serve::LoadGenOptions options;
-    options.requests = {"ping"};
-    const std::string doc = serve::load_report_json(options, 2, fake_records(),
-                                                    "abc123");
-    const json::Value parsed = json::parse(doc, "BENCH_serve.json");
-    EXPECT_EQ(parsed.find("schema")->string, "extradeep-serve-bench/1");
-    EXPECT_EQ(parsed.find("git_rev")->string, "abc123");
-    const json::Value* config = parsed.find("config");
-    ASSERT_NE(config, nullptr);
-    EXPECT_DOUBLE_EQ(config->find("daemon_threads")->number, 2.0);
-    const json::Value* records = parsed.find("records");
-    ASSERT_NE(records, nullptr);
-    ASSERT_EQ(records->array.size(), fake_records().size());
-    const json::Value& first = records->array.front();
-    EXPECT_EQ(first.find("case")->string, "closed");
-    EXPECT_EQ(first.find("metric")->string, "qps");
-    ASSERT_NE(first.find("noise"), nullptr);
-    ASSERT_NE(first.find("seed"), nullptr);
 }
 
 }  // namespace
