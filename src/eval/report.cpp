@@ -148,7 +148,13 @@ GateResult check_gate(const std::vector<MetricRecord>& records,
 
 int run_thresholds(const std::vector<MetricRecord>& records,
                    const std::string& path, const std::string& gate_name) {
-    const GateResult gate = check_gate(records, load_thresholds_file(path));
+    return run_thresholds(records, load_thresholds_file(path), gate_name);
+}
+
+int run_thresholds(const std::vector<MetricRecord>& records,
+                   const std::vector<gate::Rule>& rules,
+                   const std::string& gate_name) {
+    const GateResult gate = check_gate(records, rules);
     std::printf("gate: %zu rules, %zu records matched\n", gate.rules_checked,
                 gate.records_matched);
     if (gate.pass) {
