@@ -81,8 +81,7 @@ bool validate_steps(const trace::RankTrace& rank, RunVerdict& verdict,
 
 }  // namespace
 
-RunVerdict validate_run(const profiling::ProfiledRun& run,
-                        const RunValidationOptions& options) {
+RunVerdict validate_run(const profiling::ProfiledRun& run) {
     RunVerdict verdict;
 
     if (run.params.empty()) {
@@ -100,13 +99,6 @@ RunVerdict validate_run(const profiling::ProfiledRun& run,
     if (run.ranks.empty()) {
         drop(verdict, "validate_run: run has no ranks");
         return verdict;
-    }
-    if (options.expected_ranks >= 0 &&
-        static_cast<int>(run.ranks.size()) != options.expected_ranks) {
-        std::ostringstream os;
-        os << "validate_run: incomplete run: " << run.ranks.size()
-           << " ranks, expected " << options.expected_ranks;
-        drop(verdict, os.str());
     }
 
     std::set<int> rank_ids;
@@ -127,18 +119,14 @@ RunVerdict validate_run(const profiling::ProfiledRun& run,
             continue;
         }
     }
-    if (verdict.keep && step_windows < options.min_step_windows) {
-        std::ostringstream os;
-        os << "validate_run: only " << step_windows
-           << " complete step window(s), need " << options.min_step_windows;
-        drop(verdict, os.str());
+    if (verdict.keep && step_windows == 0) {
+        drop(verdict, "validate_run: only 0 complete step window(s), need 1");
     }
     return verdict;
 }
 
 ExperimentVerdict validate_experiment(
-    std::span<const std::vector<profiling::ProfiledRun>> configs,
-    const ExperimentValidationOptions& options) {
+    std::span<const std::vector<profiling::ProfiledRun>> configs) {
     const obs::Span span{"validate.experiment"};
     // Per-run invariants, reduced to facts; the cross-run stage is shared
     // with the streaming ingestion path (which builds the facts itself).
@@ -150,16 +138,15 @@ ExperimentVerdict validate_experiment(
             f.params = run.params;
             f.n_ranks = run.ranks.size();
             f.repetition = run.repetition;
-            f.verdict = validate_run(run, options.run);
+            f.verdict = validate_run(run);
             facts[c].push_back(std::move(f));
         }
     }
-    return validate_experiment_facts(facts, options);
+    return validate_experiment_facts(facts);
 }
 
 ExperimentVerdict validate_experiment_facts(
-    std::span<const std::vector<ValidatedRunFacts>> configs,
-    const ExperimentValidationOptions& options) {
+    std::span<const std::vector<ValidatedRunFacts>> configs) {
     ExperimentVerdict out;
     out.keep_run.reserve(configs.size());
     out.keep_config.reserve(configs.size());
@@ -199,28 +186,26 @@ ExperimentVerdict validate_experiment_facts(
 
         // Rank completeness across repetitions: keep only runs with the
         // modal rank count.
-        if (options.require_uniform_ranks) {
-            std::map<std::size_t, int> freq;
-            for (std::size_t r = 0; r < runs.size(); ++r) {
-                if (keep[r]) ++freq[runs[r].n_ranks];
+        std::map<std::size_t, int> freq;
+        for (std::size_t r = 0; r < runs.size(); ++r) {
+            if (keep[r]) ++freq[runs[r].n_ranks];
+        }
+        std::size_t modal = 0;
+        int best = 0;
+        for (const auto& [n_ranks, n] : freq) {
+            if (n > best) {  // ties resolved toward the smaller count
+                best = n;
+                modal = n_ranks;
             }
-            std::size_t modal = 0;
-            int best = 0;
-            for (const auto& [n_ranks, n] : freq) {
-                if (n > best) {  // ties resolved toward the smaller count
-                    best = n;
-                    modal = n_ranks;
-                }
-            }
-            for (std::size_t r = 0; r < runs.size(); ++r) {
-                if (keep[r] && runs[r].n_ranks != modal) {
-                    keep[r] = false;
-                    std::ostringstream os;
-                    os << ctx << "repetition " << r << ": "
-                       << runs[r].n_ranks << " ranks, expected " << modal
-                       << " like the other repetitions";
-                    out.diagnostics.add(Severity::Error, os.str());
-                }
+        }
+        for (std::size_t r = 0; r < runs.size(); ++r) {
+            if (keep[r] && runs[r].n_ranks != modal) {
+                keep[r] = false;
+                std::ostringstream os;
+                os << ctx << "repetition " << r << ": " << runs[r].n_ranks
+                   << " ranks, expected " << modal
+                   << " like the other repetitions";
+                out.diagnostics.add(Severity::Error, os.str());
             }
         }
 
@@ -237,14 +222,12 @@ ExperimentVerdict validate_experiment_facts(
 
         const std::size_t kept =
             static_cast<std::size_t>(std::count(keep.begin(), keep.end(), true));
-        bool config_ok = kept >= static_cast<std::size_t>(std::max(
-                                     1, options.min_repetitions));
+        const bool config_ok = kept > 0;
         if (!config_ok) {
-            std::ostringstream os;
-            os << ctx << "dropped: only " << kept << " of " << runs.size()
-               << " repetition(s) usable, need "
-               << std::max(1, options.min_repetitions);
-            out.diagnostics.add(Severity::Error, os.str());
+            out.diagnostics.add(Severity::Error,
+                                ctx + "dropped: only 0 of " +
+                                    std::to_string(runs.size()) +
+                                    " repetition(s) usable, need 1");
         }
 
         out.runs_kept += config_ok ? kept : 0;

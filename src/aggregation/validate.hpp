@@ -20,16 +20,6 @@ namespace extradeep::aggregation {
 /// a configuration. Each run receives a keep/drop verdict that the ingestion
 /// layer uses to degrade gracefully instead of aborting the experiment.
 
-struct RunValidationOptions {
-    /// Exact number of ranks the run must contain; -1 accepts any count >= 1.
-    /// (Cross-run uniformity is checked by validate_experiment.)
-    int expected_ranks = -1;
-    /// Minimum number of complete (non-async) step windows summed over all
-    /// ranks. A run without a single complete step contributes nothing to
-    /// the medians and is dropped.
-    int min_step_windows = 1;
-};
-
 /// Keep/drop verdict for one run. Error-severity diagnostics explain a
 /// drop; warnings describe oddities that do not disqualify the run.
 struct RunVerdict {
@@ -41,23 +31,13 @@ struct RunVerdict {
 ///  - params present, with finite values,
 ///  - finite, non-negative wall time and event/mark metric values,
 ///  - at least one rank; rank ids unique and non-negative,
-///  - expected_ranks (if set) matched exactly,
+///    (cross-run rank-count uniformity is checked by validate_experiment),
 ///  - every rank's marks segment into steps (pairing/nesting, via
 ///    trace::segment_steps) with strictly increasing step indices per
 ///    (epoch, step kind),
-///  - at least min_step_windows complete steps across all ranks.
-RunVerdict validate_run(const profiling::ProfiledRun& run,
-                        const RunValidationOptions& options = {});
-
-struct ExperimentValidationOptions {
-    RunValidationOptions run;
-    /// Configurations with fewer surviving repetitions are dropped whole.
-    int min_repetitions = 1;
-    /// Require every surviving run of a configuration to have the modal
-    /// rank count of that configuration (rank completeness: a run that lost
-    /// ranks would bias the median over ranks toward zero).
-    bool require_uniform_ranks = true;
-};
+///  - at least one complete (non-async) step window across all ranks: a
+///    run without one contributes nothing to the medians.
+RunVerdict validate_run(const profiling::ProfiledRun& run);
 
 /// Verdicts for a whole experiment, shaped like the input: one keep flag
 /// per run and per configuration.
@@ -76,12 +56,12 @@ struct ExperimentVerdict {
 
 /// Validates every run of every configuration (one inner vector per
 /// measurement point = the repetitions of that point), then applies the
-/// cross-run invariants: identical params within a configuration, uniform
-/// rank counts (optional), duplicate repetition indices (warning only), and
-/// the min_repetitions floor per configuration.
+/// cross-run invariants: identical params within a configuration, the
+/// modal rank count for every surviving run (a run that lost ranks would
+/// bias the median over ranks toward zero), duplicate repetition indices
+/// (warning only), and at least one surviving repetition per configuration.
 ExperimentVerdict validate_experiment(
-    std::span<const std::vector<profiling::ProfiledRun>> configs,
-    const ExperimentValidationOptions& options = {});
+    std::span<const std::vector<profiling::ProfiledRun>> configs);
 
 /// Everything the cross-run stage of validate_experiment needs to know
 /// about one run, decoupled from the run's bulk data (events/marks). The
@@ -101,7 +81,6 @@ struct ValidatedRunFacts {
 /// and streaming callers share one implementation (and one diagnostic
 /// order).
 ExperimentVerdict validate_experiment_facts(
-    std::span<const std::vector<ValidatedRunFacts>> configs,
-    const ExperimentValidationOptions& options = {});
+    std::span<const std::vector<ValidatedRunFacts>> configs);
 
 }  // namespace extradeep::aggregation

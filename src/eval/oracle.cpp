@@ -17,6 +17,9 @@ const char kSporadicKernel[] = "oracle_sporadic_os";
 
 namespace {
 
+/// Fraction of the noise sigma carried by the run-level component.
+constexpr double kRunShare = 0.8;
+
 using trace::KernelCategory;
 using trace::NvtxMark;
 using trace::RankTrace;
@@ -155,10 +158,9 @@ profiling::ProfiledRun materialize_run(const OracleCase& oracle,
             "materialize_run: oracle '" + oracle.name +
             "' is non-positive at a grid point; runtimes must stay positive");
     }
-    const double run_sigma = options.noise * options.run_share;
+    const double run_sigma = options.noise * kRunShare;
     const double step_sigma =
-        options.noise *
-        std::sqrt(std::max(0.0, 1.0 - options.run_share * options.run_share));
+        options.noise * std::sqrt(std::max(0.0, 1.0 - kRunShare * kRunShare));
     const std::uint64_t case_seed =
         mix64(case_name_hash(oracle.name), options.seed);
 

@@ -46,15 +46,13 @@ struct OracleCase {
 /// Controls the multiplicative noise injected while materialising a case.
 /// The structure mirrors src/sim's NoiseModel: a run-level factor drawn once
 /// per (configuration, repetition) and an i.i.d. per-(rank, step) jitter,
-/// with the run share dominating - that is what makes run-to-run variation
+/// with the run share (80 % of sigma, the step share its quadrature
+/// complement) dominating - that is what makes run-to-run variation
 /// dominate step-to-step variation, as on real systems.
 struct MaterializeOptions {
     /// Total multiplicative sigma; 0 produces exact, noise-free values.
     double noise = 0.0;
     std::uint64_t seed = 1;
-    /// Fraction of sigma carried by the run-level component; the step-level
-    /// component takes the quadrature complement.
-    double run_share = 0.8;
 };
 
 /// The name of the synthetic kernel carrying the ground-truth function.

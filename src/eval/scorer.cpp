@@ -14,12 +14,18 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "extradeep/ingest.hpp"
+#include "obs/clock.hpp"
 #include "obs/trace.hpp"
 #include "profiling/edp_io.hpp"
 
 namespace extradeep::eval {
 
 namespace {
+
+/// Confidence level of the scored prediction intervals.
+constexpr double kConfidence = 0.95;
+/// Fresh aggregated observations drawn per coverage point.
+constexpr int kCoverageDraws = 20;
 
 /// The aggregated modeling input recovered from the EDP files.
 struct RecoveredData {
@@ -271,9 +277,7 @@ CaseScore score_case(const OracleCase& oracle, const ScoreOptions& options) {
         << static_cast<int>(options.noise * 1e4) << "-s" << options.seed
         << "-p" << ::getpid();
     const std::filesystem::path dir =
-        options.work_dir.empty()
-            ? std::filesystem::temp_directory_path() / tag.str()
-            : std::filesystem::path(options.work_dir) / tag.str();
+        std::filesystem::temp_directory_path() / tag.str();
     const std::vector<std::string> paths =
         write_edp_tree(oracle, mat, dir.string());
     score.files_written = paths.size();
@@ -301,8 +305,7 @@ CaseScore score_case(const OracleCase& oracle, const ScoreOptions& options) {
 
     // (3) Model generation.
     const modeling::ModelGenerator generator;
-    const obs::Clock& clock =
-        options.clock != nullptr ? *options.clock : obs::steady_clock_instance();
+    const obs::Clock& clock = obs::steady_clock_instance();
     const std::uint64_t t0 = clock.now_ns();
     const modeling::PerformanceModel fitted = generator.fit(
         recovered.points, recovered.values, oracle.truth.param_names());
@@ -339,13 +342,13 @@ CaseScore score_case(const OracleCase& oracle, const ScoreOptions& options) {
         std::vector<double> twice = max_point;
         twice[0] *= 2.0;
         coverage_points.push_back(twice);
-        const int draws = options.noise > 0.0 ? options.coverage_draws : 1;
+        const int draws = options.noise > 0.0 ? kCoverageDraws : 1;
         int covered = 0;
         int total = 0;
         for (std::size_t pi = 0; pi < coverage_points.size(); ++pi) {
             const auto& p = coverage_points[pi];
             const modeling::PredictionInterval interval =
-                fitted.predict_interval(p, options.confidence);
+                fitted.predict_interval(p, kConfidence);
             for (int dr = 0; dr < draws; ++dr) {
                 const std::uint64_t draw_seed =
                     mix64(options.seed,

@@ -6,7 +6,6 @@
 
 #include "eval/oracle.hpp"
 #include "modeling/fitter.hpp"
-#include "obs/clock.hpp"
 
 namespace extradeep::eval {
 
@@ -15,19 +14,9 @@ struct ScoreOptions {
     /// Total multiplicative noise sigma injected by the oracle.
     double noise = 0.0;
     std::uint64_t seed = 1;
-    /// Directory for the round-trip EDP files; empty derives a unique
-    /// directory under the system temp path. Removed afterwards unless
-    /// keep_files is set.
-    std::string work_dir;
+    /// Keep the round-trip EDP files, written to a unique directory under
+    /// the system temp path, instead of removing them afterwards.
     bool keep_files = false;
-    /// Confidence level of the scored prediction intervals.
-    double confidence = 0.95;
-    /// Fresh aggregated observations drawn per coverage point.
-    int coverage_draws = 20;
-    /// Time source for fit_seconds / hypotheses_per_sec (nullptr means the
-    /// shared steady clock). Tests inject an obs::FakeClock to make timing
-    /// fields deterministic.
-    const obs::Clock* clock = nullptr;
 };
 
 /// All metrics of one (case, noise) evaluation. `extrap_error[i]` is the

@@ -127,8 +127,7 @@ StreamedFile stream_digest_file(const std::string& path,
     // see: the parser guarantees event metric sanity, and segment_steps /
     // step monotonicity depend only on the marks, so a marks-only skeleton
     // yields the identical verdict and diagnostics.
-    out.run.verdict = aggregation::validate_run(skeleton,
-                                                options.validation.run);
+    out.run.verdict = aggregation::validate_run(skeleton);
     out.run.params = std::move(skeleton.params);
     out.run.repetition = skeleton.repetition;
     out.run.n_ranks = skeleton.ranks.size();
@@ -204,8 +203,7 @@ IngestResult ingest_streamed_runs(std::span<std::vector<StreamedRun>> configs,
     }
     aggregation::ExperimentVerdict verdict = [&] {
         const obs::Span validate_span{"ingest.validate_experiment"};
-        return aggregation::validate_experiment_facts(facts,
-                                                      options.validation);
+        return aggregation::validate_experiment_facts(facts);
     }();
     result.diagnostics.merge(verdict.diagnostics);
 
@@ -262,7 +260,7 @@ IngestResult ingest_runs(
             s.params = run.params;
             s.repetition = run.repetition;
             s.n_ranks = run.ranks.size();
-            s.verdict = aggregation::validate_run(run, options.validation.run);
+            s.verdict = aggregation::validate_run(run);
             if (s.verdict.keep) {
                 try {
                     aggregation::RunAggregator run_agg;

@@ -34,7 +34,6 @@ struct IngestOptions {
     /// records with diagnostics; Strict makes ingest_edp_files throw on the
     /// first malformed file instead.
     profiling::ParseMode mode = profiling::ParseMode::Tolerant;
-    aggregation::ExperimentValidationOptions validation;
     aggregation::AggregationOptions aggregation;
     /// Primary execution parameter configurations are keyed/ordered by.
     std::string primary_parameter = "x1";

@@ -88,10 +88,9 @@ std::string FleetService::handle_ingest(const std::string& experiment,
     if (!valid_experiment_name(experiment)) {
         throw Error("invalid experiment name (want [A-Za-z0-9._-], max 128)");
     }
-    if (payload.size() > options_.max_payload_bytes) {
+    if (payload.size() > kMaxPayloadBytes) {
         throw Error("payload too large (" + std::to_string(payload.size()) +
-                    " > " + std::to_string(options_.max_payload_bytes) +
-                    " bytes)");
+                    " > " + std::to_string(kMaxPayloadBytes) + " bytes)");
     }
     return ingest_bytes(experiment, serve::unescape_lines(payload), "push");
 }

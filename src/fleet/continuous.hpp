@@ -20,6 +20,12 @@
 
 namespace extradeep::fleet {
 
+/// Upper bound on one `ingest` payload (escaped bytes).
+inline constexpr std::size_t kMaxPayloadBytes = 8u << 20;
+/// Request-line cap of a daemon that serves the `ingest` verb: a line
+/// carries a whole escaped EDP run, far beyond serve::kMaxRequestLine.
+inline constexpr std::size_t kMaxIngestLine = 32u << 20;
+
 /// Policy knobs of the continuous-modeling loop (DESIGN.md §14).
 struct FleetOptions {
     /// Export directory: one `<experiment>.edpm` per fitted experiment,
@@ -50,8 +56,6 @@ struct FleetOptions {
     /// Background fit workers (the refit ThreadPool); each refit job is
     /// one serial fit. Must be >= 1 (the constructor rejects less).
     int fit_threads = 2;
-    /// Upper bound on one `ingest` payload (escaped bytes).
-    std::size_t max_payload_bytes = 8u << 20;
     /// Time source for debounce and latency metrics; nullptr = steady clock.
     /// Inject an obs::FakeClock to make debounce decisions deterministic.
     const obs::Clock* clock = nullptr;

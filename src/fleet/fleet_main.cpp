@@ -102,7 +102,7 @@ void handle_signal(int) {
 int run_serve(cli::Args& args) {
     fleet::FleetOptions fleet_opts;
     serve::ServerOptions server_opts;
-    server_opts.max_request_line = 32u << 20;  // ingest payloads
+    server_opts.max_request_line = fleet::kMaxIngestLine;
     int poll_ms = 100;
     std::optional<std::string> trace;
     std::string arg;

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "common/format.hpp"
 #include "profiling/edp_io.hpp"
 #include "serve/server.hpp"
+#include "sim/drift.hpp"
 
 namespace extradeep::fleet {
 
@@ -24,6 +26,30 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kModelName[] = "fleet-demo";
+
+/// One run per rank count per round (so each round refreshes every
+/// modeling point once).
+constexpr std::array<int, 5> kRanks = {2, 4, 6, 8, 10};
+/// Rounds pushed under the base system before the drift is injected.
+constexpr int kPreRounds = 3;
+/// Round budget for re-convergence after the injection.
+constexpr int kMaxDriftRounds = 10;
+/// The injected mid-stream change (onset is implied by the phases).
+/// Hardware degradation hits communication, the dominant phase at the probe
+/// scale, so the ground-truth shift is large (~1.5x at hw:2) and a stale
+/// model is unambiguously outside the convergence tolerance.
+constexpr sim::DriftKind kDriftKind = sim::DriftKind::HardwareDegrade;
+constexpr double kDriftSeverity = 2.0;
+/// Probe point for convergence checks (a modeling point, so model error
+/// against ground truth is small once the window has turned over).
+constexpr int kProbeX = 10;
+/// Served prediction within this relative error of the drifted ground
+/// truth, sustained for kSustain consecutive rounds, counts as converged.
+constexpr double kRelTol = 0.12;
+constexpr int kSustain = 2;
+/// Deterministically corrupted payloads pushed after convergence; every one
+/// must be rejected without perturbing the exported model bytes.
+constexpr int kCorruptPushes = 5;
 
 /// One profiled run of `ranks` on `spec`'s system, as raw EDP bytes.
 std::string run_edp_bytes(const ExperimentSpec& spec, int ranks, int rep) {
@@ -100,38 +126,32 @@ double p95(std::vector<double> values) {
 }  // namespace
 
 ScenarioReport run_drift_scenario(const ScenarioOptions& options) {
-    if (options.ranks.empty() || options.pre_rounds < 1 ||
-        options.max_drift_rounds < 1) {
-        throw InvalidArgumentError("scenario: bad options");
-    }
     const auto log = [&](const std::string& line) {
         if (options.verbose) {
             std::cerr << "[fleet-scenario] " << line << "\n";
         }
     };
 
-    // Scratch layout: <work>/models (exports + hot-swap source).
-    std::string work = options.work_dir;
-    const bool own_work = work.empty();
-    if (own_work) {
-        work = (fs::temp_directory_path() /
-                ("extradeep-fleet-scn-" + std::to_string(::getpid())))
-                   .string();
-    }
+    // Scratch layout: <work>/models (exports + hot-swap source), removed
+    // afterwards.
+    const std::string work =
+        (fs::temp_directory_path() /
+         ("extradeep-fleet-scn-" + std::to_string(::getpid())))
+            .string();
     fs::remove_all(work);
     fs::create_directories(work);
     const std::string models_dir = work + "/models";
 
     // Ground truth on both sides of the injection.
     ExperimentSpec base_spec = options.spec;
-    const sim::DriftSpec drift{options.drift_kind, options.drift_severity, 0};
+    const sim::DriftSpec drift{kDriftKind, kDriftSeverity, 0};
     ExperimentSpec drift_spec = base_spec;
     drift_spec.system = sim::apply_drift(base_spec.system, drift);
     const double truth_base =
-        ExperimentRunner(base_spec).measured_epoch_time(options.probe_x);
+        ExperimentRunner(base_spec).measured_epoch_time(kProbeX);
     const double truth_drift =
-        ExperimentRunner(drift_spec).measured_epoch_time(options.probe_x);
-    log("truth at x=" + std::to_string(options.probe_x) + ": base " +
+        ExperimentRunner(drift_spec).measured_epoch_time(kProbeX);
+    log("truth at x=" + std::to_string(kProbeX) + ": base " +
         fmt::shortest(truth_base) + "s, drifted " + fmt::shortest(truth_drift) +
         "s (" + drift.describe() + ")");
 
@@ -140,31 +160,28 @@ ScenarioReport run_drift_scenario(const ScenarioOptions& options) {
     FleetOptions fleet_opts;
     fleet_opts.models_dir = models_dir;
     fleet_opts.spec = base_spec;
-    fleet_opts.min_runs = static_cast<int>(options.ranks.size());
+    fleet_opts.min_runs = static_cast<int>(kRanks.size());
     fleet_opts.quiescence_ns = 10'000'000'000ULL;  // drain() paces refits
     fleet_opts.max_pending = 4 * fleet_opts.min_runs;
-    fleet_opts.window = options.window;
-    fleet_opts.fit_threads = options.fit_threads;
     auto service = std::make_shared<FleetService>(fleet_opts, registry);
     auto engine = std::make_shared<serve::QueryEngine>(registry);
     engine->set_fleet_handler(service);
     serve::ServerOptions server_opts;
-    server_opts.threads = options.serve_threads;
-    server_opts.max_request_line = 32u << 20;  // ingest lines carry whole runs
+    server_opts.max_request_line = kMaxIngestLine;
     serve::ServeDaemon daemon(engine, server_opts);
     daemon.start();
     const std::string host = server_opts.host;
     const int port = daemon.port();
 
     const std::string predict_req = "predict " + std::string(kModelName) +
-                                    " " + std::to_string(options.probe_x);
+                                    " " + std::to_string(kProbeX);
     std::vector<double> drain_us;
     int rep = 0;
 
     const auto push_round = [&](const ExperimentSpec& spec) {
         std::vector<std::string> requests;
-        requests.reserve(options.ranks.size());
-        for (const int ranks : options.ranks) {
+        requests.reserve(kRanks.size());
+        for (const int ranks : kRanks) {
             requests.push_back("ingest " + std::string(kModelName) + " " +
                                serve::escape_lines(
                                    run_edp_bytes(spec, ranks, rep)));
@@ -188,7 +205,7 @@ ScenarioReport run_drift_scenario(const ScenarioOptions& options) {
     };
 
     // Phase 1: baseline rounds. The first drain installs the first model.
-    for (int round = 0; round < options.pre_rounds; ++round) {
+    for (int round = 0; round < kPreRounds; ++round) {
         push_round(base_spec);
     }
     const double baseline_pred = served_probe();
@@ -227,22 +244,22 @@ ScenarioReport run_drift_scenario(const ScenarioOptions& options) {
     bool converged = false;
     int convergence_lag_runs = 0;
     int streak = 0;
-    const int runs_per_round = static_cast<int>(options.ranks.size());
-    for (int round = 0; round < options.max_drift_rounds; ++round) {
+    const int runs_per_round = static_cast<int>(kRanks.size());
+    for (int round = 0; round < kMaxDriftRounds; ++round) {
         push_round(drift_spec);
         const double pred = served_probe();
         const double rel_err = std::abs(pred - truth_drift) / truth_drift;
         log("drift round " + std::to_string(round + 1) + ": served " +
             fmt::shortest(pred) + "s, rel err vs drifted truth " +
             fmt::shortest(rel_err));
-        if (rel_err <= options.rel_tol) {
+        if (rel_err <= kRelTol) {
             ++streak;
-            if (streak >= options.sustain && !converged) {
+            if (streak >= kSustain && !converged) {
                 converged = true;
                 convergence_lag_runs =
-                    (round + 1 - (options.sustain - 1)) * runs_per_round;
+                    (round + 1 - (kSustain - 1)) * runs_per_round;
             }
-            if (converged && streak >= options.sustain) {
+            if (converged && streak >= kSustain) {
                 break;
             }
         } else {
@@ -250,7 +267,7 @@ ScenarioReport run_drift_scenario(const ScenarioOptions& options) {
         }
     }
     if (!converged) {
-        convergence_lag_runs = options.max_drift_rounds * runs_per_round;
+        convergence_lag_runs = kMaxDriftRounds * runs_per_round;
     }
     load_stop.store(true);
     load_thread.join();
@@ -262,10 +279,10 @@ ScenarioReport run_drift_scenario(const ScenarioOptions& options) {
     const std::string model_bytes_before = read_file_bytes(model_path);
     const FleetStats stats_before = service->stats();
     const std::string good_payload =
-        run_edp_bytes(base_spec, options.ranks.front(), rep++);
+        run_edp_bytes(base_spec, kRanks.front(), rep++);
     int corrupt_rejected = 0;
     for (const std::string& bad :
-         corrupt_variants(good_payload, options.corrupt_pushes)) {
+         corrupt_variants(good_payload, kCorruptPushes)) {
         const auto responses = serve::query_daemon(
             host, port, {"ingest " + std::string(kModelName) + " " +
                          serve::escape_lines(bad)});
@@ -278,7 +295,7 @@ ScenarioReport run_drift_scenario(const ScenarioOptions& options) {
     const FleetStats stats_after = service->stats();
     const bool bytes_changed = model_bytes_before != model_bytes_after;
     log("corrupt batch: " + std::to_string(corrupt_rejected) + "/" +
-        std::to_string(options.corrupt_pushes) + " rejected, model bytes " +
+        std::to_string(kCorruptPushes) + " rejected, model bytes " +
         (bytes_changed ? "CHANGED" : "unchanged"));
 
     // Shut the daemon down cleanly before tearing the service down.
@@ -323,10 +340,8 @@ ScenarioReport run_drift_scenario(const ScenarioOptions& options) {
                                stats_before.quarantined));
     record("perf", "drain_p95_us", p95(drain_us));
 
-    if (own_work) {
-        std::error_code ec;
-        fs::remove_all(work, ec);
-    }
+    std::error_code ec;
+    fs::remove_all(work, ec);
     return report;
 }
 

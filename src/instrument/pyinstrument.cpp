@@ -112,96 +112,91 @@ bool contains_nvtx(const std::string& line) {
 
 }  // namespace
 
-InstrumentResult instrument_python(const std::string& source,
-                                   const InstrumentOptions& options) {
+InstrumentResult instrument_python(const std::string& source) {
     InstrumentResult result;
     std::vector<std::string> lines = split_lines(source);
 
     // Pass 1: function decorators.
-    if (options.annotate_functions) {
-        std::vector<std::string> out;
-        out.reserve(lines.size() + 16);
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-            const std::string name = def_name(lines[i]);
-            if (!name.empty()) {
-                // Look back over decorators/blank lines for an existing
-                // nvtx annotation.
-                bool annotated = false;
-                for (std::size_t j = out.size(); j-- > 0;) {
-                    if (is_blank(out[j])) {
-                        continue;
-                    }
-                    const std::size_t ind = indent_of(out[j]);
-                    if (ind < out[j].size() && out[j][ind] == '@') {
-                        if (contains_nvtx(out[j])) {
-                            annotated = true;
-                            break;
-                        }
-                        continue;  // other decorator, keep scanning upward
-                    }
-                    break;
+    std::vector<std::string> out;
+    out.reserve(lines.size() + 16);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const std::string name = def_name(lines[i]);
+        if (!name.empty()) {
+            // Look back over decorators/blank lines for an existing
+            // nvtx annotation.
+            bool annotated = false;
+            for (std::size_t j = out.size(); j-- > 0;) {
+                if (is_blank(out[j])) {
+                    continue;
                 }
-                if (!annotated) {
-                    out.push_back(std::string(indent_of(lines[i]), ' ') +
-                                  "@nvtx.annotate(\"" + name + "\")");
-                    ++result.functions_annotated;
+                const std::size_t ind = indent_of(out[j]);
+                if (ind < out[j].size() && out[j][ind] == '@') {
+                    if (contains_nvtx(out[j])) {
+                        annotated = true;
+                        break;
+                    }
+                    continue;  // other decorator, keep scanning upward
                 }
+                break;
             }
-            out.push_back(lines[i]);
+            if (!annotated) {
+                out.push_back(std::string(indent_of(lines[i]), ' ') +
+                              "@nvtx.annotate(\"" + name + "\")");
+                ++result.functions_annotated;
+            }
         }
-        lines = std::move(out);
+        out.push_back(lines[i]);
     }
+    lines = std::move(out);
 
     // Pass 2: epoch/step loop ranges. Processed bottom-up so body
     // re-indentation does not disturb line indices of earlier loops.
-    if (options.annotate_loops) {
-        for (std::size_t i = lines.size(); i-- > 0;) {
-            const std::string label = loop_label(lines[i]);
-            if (label.empty()) {
-                continue;
-            }
-            const std::size_t for_indent = indent_of(lines[i]);
-            // Body: maximal following run of blank lines or lines indented
-            // deeper than the for header.
-            std::size_t body_begin = i + 1;
-            std::size_t body_end = body_begin;
-            std::size_t body_indent = std::string::npos;
-            while (body_end < lines.size()) {
-                if (is_blank(lines[body_end])) {
-                    ++body_end;
-                    continue;
-                }
-                const std::size_t ind = indent_of(lines[body_end]);
-                if (ind <= for_indent) {
-                    break;
-                }
-                body_indent = std::min(body_indent, ind);
-                ++body_end;
-            }
-            if (body_begin >= body_end || body_indent == std::string::npos) {
-                continue;  // empty body; nothing to wrap
-            }
-            // Idempotency: body already wrapped in an nvtx range.
-            std::size_t first_stmt = body_begin;
-            while (first_stmt < body_end && is_blank(lines[first_stmt])) {
-                ++first_stmt;
-            }
-            if (first_stmt < body_end &&
-                lines[first_stmt].find("with nvtx.annotate") !=
-                    std::string::npos) {
-                continue;
-            }
-            // Re-indent the body by four spaces and insert the with-line.
-            for (std::size_t j = body_begin; j < body_end; ++j) {
-                if (!is_blank(lines[j])) {
-                    lines[j].insert(0, "    ");
-                }
-            }
-            lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(body_begin),
-                         std::string(body_indent, ' ') +
-                             "with nvtx.annotate(\"" + label + "\"):");
-            ++result.loops_annotated;
+    for (std::size_t i = lines.size(); i-- > 0;) {
+        const std::string label = loop_label(lines[i]);
+        if (label.empty()) {
+            continue;
         }
+        const std::size_t for_indent = indent_of(lines[i]);
+        // Body: maximal following run of blank lines or lines indented
+        // deeper than the for header.
+        std::size_t body_begin = i + 1;
+        std::size_t body_end = body_begin;
+        std::size_t body_indent = std::string::npos;
+        while (body_end < lines.size()) {
+            if (is_blank(lines[body_end])) {
+                ++body_end;
+                continue;
+            }
+            const std::size_t ind = indent_of(lines[body_end]);
+            if (ind <= for_indent) {
+                break;
+            }
+            body_indent = std::min(body_indent, ind);
+            ++body_end;
+        }
+        if (body_begin >= body_end || body_indent == std::string::npos) {
+            continue;  // empty body; nothing to wrap
+        }
+        // Idempotency: body already wrapped in an nvtx range.
+        std::size_t first_stmt = body_begin;
+        while (first_stmt < body_end && is_blank(lines[first_stmt])) {
+            ++first_stmt;
+        }
+        if (first_stmt < body_end &&
+            lines[first_stmt].find("with nvtx.annotate") !=
+                std::string::npos) {
+            continue;
+        }
+        // Re-indent the body by four spaces and insert the with-line.
+        for (std::size_t j = body_begin; j < body_end; ++j) {
+            if (!is_blank(lines[j])) {
+                lines[j].insert(0, "    ");
+            }
+        }
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(body_begin),
+                     std::string(body_indent, ' ') +
+                         "with nvtx.annotate(\"" + label + "\"):");
+        ++result.loops_annotated;
     }
 
     // Pass 3: ensure the nvtx import exists if anything was annotated.
@@ -224,7 +219,7 @@ InstrumentResult instrument_python(const std::string& source,
             ++insert_at;
         }
         lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(insert_at),
-                     options.import_line);
+                     "import nvtx");
         result.import_added = true;
     }
 
@@ -233,15 +228,14 @@ InstrumentResult instrument_python(const std::string& source,
 }
 
 InstrumentResult instrument_python_file(const std::string& input_path,
-                                        const std::string& output_path,
-                                        const InstrumentOptions& options) {
+                                        const std::string& output_path) {
     std::ifstream in(input_path);
     if (!in) {
         throw Error("instrument_python_file: cannot open " + input_path);
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    InstrumentResult result = instrument_python(buffer.str(), options);
+    InstrumentResult result = instrument_python(buffer.str());
     std::ofstream out(output_path);
     if (!out) {
         throw Error("instrument_python_file: cannot write " + output_path);

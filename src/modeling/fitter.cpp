@@ -17,6 +17,10 @@ namespace extradeep::modeling {
 
 namespace {
 
+/// Number of best per-parameter factors combined into multi-parameter
+/// hypotheses.
+constexpr std::size_t kMultiParamTopFactors = 3;
+
 struct HypothesisFit {
     bool valid = false;
     std::vector<double> coefficients;  ///< [constant, c_1, ..., c_k]
@@ -525,9 +529,8 @@ PerformanceModel ModelGenerator::fit(
                       [](const auto& a, const auto& b) {
                           return a.first < b.first;
                       });
-            const std::size_t top = std::min<std::size_t>(
-                ranked.size(),
-                static_cast<std::size_t>(options_.multi_param_top_factors));
+            const std::size_t top =
+                std::min(ranked.size(), kMultiParamTopFactors);
             for (std::size_t i = 0; i < top; ++i) {
                 best_factors[d].push_back(ranked[i].second);
             }

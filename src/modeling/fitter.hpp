@@ -23,9 +23,6 @@ struct FitOptions {
     /// cv_smape * (1 + term_penalty * #terms), so a more complex hypothesis
     /// must beat a simpler one by a margin.
     double term_penalty = 0.005;
-    /// Number of best per-parameter factors combined into multi-parameter
-    /// hypotheses.
-    int multi_param_top_factors = 3;
     /// Threads model_kernels spends across kernels; ModelGenerator::fit never
     /// reads it. 1 = serial; 0 or negative = hardware concurrency.
     int num_threads = 1;

@@ -23,11 +23,6 @@ std::vector<Factor> SearchSpace::single_parameter_factors(int param) const {
             f.poly_exp = i;
             f.log_exp = j;
             out.push_back(f);
-            if (include_negative_exponents && i != 0.0) {
-                Factor neg = f;
-                neg.poly_exp = -i;
-                out.push_back(neg);
-            }
         }
     }
     return out;

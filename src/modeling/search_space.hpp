@@ -20,11 +20,6 @@ struct SearchSpace {
     /// hypotheses widen the space but overfit easily on five noisy points
     /// (see bench/ablation_modeling_points).
     int max_terms = 1;
-    /// Also emit factors with negated polynomial exponents (x^-i). Required
-    /// for strong-scaling metrics, where runtimes shrink like n_t ~ 1/x1
-    /// (Eq. 2) - a shape the positive-exponent PMNF cannot express. Enabled
-    /// automatically by the ExperimentRunner for strong-scaling experiments.
-    bool include_negative_exponents = false;
 
     static std::vector<double> default_poly_exponents();
 

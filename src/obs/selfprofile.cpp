@@ -96,7 +96,6 @@ profiling::ProfiledRun spans_to_run(const std::vector<SpanRecord>& spans,
 
     profiling::ProfiledRun run;
     run.params = options.params;
-    run.repetition = options.repetition;
     run.profiling_wall_time = epoch1_end;
     run.ranks.push_back(std::move(rank));
     return run;

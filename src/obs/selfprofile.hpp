@@ -27,7 +27,6 @@ struct SelfProfileOptions {
     /// {"x1": threads}. Must be non-empty (the modeling layers need at
     /// least one parameter).
     std::map<std::string, double> params;
-    int repetition = 0;
 };
 
 /// Builds the synthetic run. Throws InvalidArgumentError if `spans` is

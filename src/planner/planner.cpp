@@ -10,6 +10,17 @@ namespace extradeep::planner {
 
 namespace {
 
+/// Arms with fewer than kTrustedPulls pulls face a stricter confidence bar
+/// (target_rel_width * kUntrustedMargin): a single measurement that happens
+/// to sit on the fitted curve must not retire its arm while the residual
+/// scatter says the data is noisy. Noise-adaptive by construction - on
+/// noise-free sources the interval collapses and even 1-pull arms clear the
+/// stricter bar immediately.
+constexpr int kTrustedPulls = 3;
+constexpr double kUntrustedMargin = 0.02;
+/// Confidence level of the acquisition intervals.
+constexpr double kConfidence = 0.95;
+
 /// Instruments of one run_plan invocation; null when metrics are disabled.
 struct PlanInstruments {
     obs::Counter* arms_pulled = nullptr;
@@ -54,9 +65,8 @@ PlanResult run_plan(eval::MeasurementSource& source,
             "run_plan: fewer candidate configurations than the fitter's "
             "min_points");
     }
-    if (options.seed_pulls < 1 || options.max_pulls_per_arm < options.seed_pulls) {
-        throw InvalidArgumentError(
-            "run_plan: seed_pulls must be in [1, max_pulls_per_arm]");
+    if (options.max_pulls_per_arm < 1) {
+        throw InvalidArgumentError("run_plan: max_pulls_per_arm must be >= 1");
     }
     if (!(options.target_rel_width > 0.0)) {
         throw InvalidArgumentError("run_plan: target_rel_width must be > 0");
@@ -115,7 +125,7 @@ PlanResult run_plan(eval::MeasurementSource& source,
 
     const auto rel_width = [&](const ArmState& arm) {
         const double half =
-            result.model.interval_half_width(arm.point, options.confidence);
+            result.model.interval_half_width(arm.point, kConfidence);
         const double scale =
             std::max(std::abs(result.model.evaluate(arm.point)), 1e-12);
         return half / (std::sqrt(static_cast<double>(arm.pulls)) * scale);
@@ -143,9 +153,9 @@ PlanResult run_plan(eval::MeasurementSource& source,
             }
             arm.last_rel_width = rel_width(arm);
             const double bar =
-                arm.pulls >= options.trusted_pulls
+                arm.pulls >= kTrustedPulls
                     ? options.target_rel_width
-                    : options.target_rel_width * options.untrusted_margin;
+                    : options.target_rel_width * kUntrustedMargin;
             if (arm.last_rel_width <= bar) {
                 arm.eliminated = true;
                 arm.eliminated_round = round;
@@ -165,27 +175,23 @@ PlanResult run_plan(eval::MeasurementSource& source,
         result.rounds.push_back(std::move(record));
     };
 
-    // Round 0: seed every arm so the fit sees one mean per configuration.
+    // Round 0: pull every arm once so the fit sees one mean per
+    // configuration.
     {
         double seed_cost = 0.0;
         for (std::size_t a = 0; a < num_arms; ++a) {
-            seed_cost += source.run_cost(a) *
-                         static_cast<double>(options.seed_pulls);
+            seed_cost += source.run_cost(a);
         }
         if (seed_cost > budget) {
             throw InvalidArgumentError(
                 "run_plan: budget cannot cover the seed round");
         }
     }
-    int seed_pull_count = 0;
     for (std::size_t a = 0; a < num_arms; ++a) {
-        for (int p = 0; p < options.seed_pulls; ++p) {
-            pull(a);
-            ++seed_pull_count;
-        }
+        pull(a);
     }
     result.model = refit();
-    close_round(0, -1, seed_pull_count);
+    close_round(0, -1, static_cast<int>(num_arms));
 
     // Racing loop: pull the least-certain surviving arm, refit, re-score.
     for (int round = 1;; ++round) {

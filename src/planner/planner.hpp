@@ -18,12 +18,9 @@ namespace extradeep::planner {
 /// fitted model's relative prediction-interval width at their point drops
 /// below `target_rel_width`.
 struct PlanOptions {
-    /// Measurements taken per arm in the seed round. At least 1; the fit
-    /// needs one value per configuration before any scoring can happen.
-    int seed_pulls = 1;
     /// Hard per-arm cap, mirroring the fixed grid's repetition count; an
     /// arm reaching it is retired as "exhausted" (more repetitions than the
-    /// grid would never be a saving).
+    /// grid would never be a saving). At least 1, the seed round's pull.
     int max_pulls_per_arm = 5;
     /// Total pull budget in profiled runs; 0 derives the fixed-grid cost
     /// (num_configs * max_pulls_per_arm).
@@ -31,16 +28,6 @@ struct PlanOptions {
     /// An arm is confidently settled when interval_half_width(point) /
     /// (sqrt(pulls) * |prediction|) falls to this value or below.
     double target_rel_width = 0.12;
-    /// Arms with fewer than this many pulls face a stricter confidence bar
-    /// (target_rel_width * untrusted_margin): a single measurement that
-    /// happens to sit on the fitted curve must not retire its arm while the
-    /// residual scatter says the data is noisy. Noise-adaptive by
-    /// construction - on noise-free sources the interval collapses and
-    /// even 1-pull arms clear the stricter bar immediately.
-    int trusted_pulls = 3;
-    double untrusted_margin = 0.02;
-    /// Confidence level of the acquisition intervals.
-    double confidence = 0.95;
     /// Time source for the refit-latency histogram only; never serialised
     /// into the PlanResult, so plans stay byte-reproducible under real
     /// clocks. nullptr means the shared steady clock.
@@ -64,8 +51,8 @@ struct ArmState {
 };
 
 /// One refit round of the plan. Round 0 is the seed round (every arm pulled
-/// seed_pulls times, arm_pulled == -1); each later round pulls exactly one
-/// arm and refits.
+/// once, arm_pulled == -1); each later round pulls exactly one arm and
+/// refits.
 struct PlanRound {
     int round = 0;
     int arm_pulled = -1;

@@ -140,7 +140,7 @@ struct Reader {
     long long line_no = 0;
 
     explicit Reader(std::istream& stream, const EdpmReadOptions& opts)
-        : is(stream), options(opts), log(opts.max_diagnostics) {}
+        : is(stream), options(opts) {}
 
     bool strict() const { return options.mode == ParseMode::Strict; }
 

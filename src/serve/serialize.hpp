@@ -112,8 +112,6 @@ void write_edpm(std::ostream& os, const ServableModel& model);
 
 struct EdpmReadOptions {
     ParseMode mode = ParseMode::Strict;
-    /// Storage cap for collected diagnostics (counts keep accumulating).
-    std::size_t max_diagnostics = DiagnosticLog::kDefaultCapacity;
 };
 
 /// Outcome of a tolerant (or strict) model load.

@@ -28,6 +28,13 @@ constexpr std::uint64_t kListenerId = 0;
 constexpr std::uint64_t kWakeId = 1;
 constexpr std::uint64_t kFirstConnId = 2;
 
+/// Upper bound on the epoll_wait tick (stop-flag and idle-scan latency).
+constexpr int kPollTickMs = 50;
+/// Write-buffer cap per connection: while a connection has more than this
+/// many response bytes unflushed (a client that sends but never reads), the
+/// daemon stops reading from it until the buffer drains.
+constexpr std::size_t kMaxWriteBuffer = 1 << 20;
+
 /// Per-connection event-loop state. Requests are answered one at a time
 /// per connection, in order: cheap verbs on the loop itself, the rest on
 /// the worker pool (in_flight), which keeps responses in request order
@@ -156,9 +163,7 @@ void ServeDaemon::loop() {
     ThreadPool pool(resolve_num_threads(options_.threads) + 1);
     const obs::Clock& clock = obs::steady_clock_instance();
     const std::uint64_t idle_ns =
-        options_.recv_timeout_ms > 0
-            ? static_cast<std::uint64_t>(options_.recv_timeout_ms) * 1000000u
-            : 0;
+        static_cast<std::uint64_t>(options_.recv_timeout_ms) * 1000000u;
 
     FdGuard epoll_fd(::epoll_create1(EPOLL_CLOEXEC));
     if (epoll_fd.get() < 0) {
@@ -189,10 +194,10 @@ void ServeDaemon::loop() {
         // Backpressure: stop reading new requests from a peer while it has
         // parsed requests waiting behind one on the pool (so a pipelining
         // client cannot queue unbounded input), or while it has not read
-        // max_write_buffer bytes of responses.
+        // kMaxWriteBuffer bytes of responses.
         const bool read_gated = c.closing || c.peer_eof ||
                                 !c.requests.empty() ||
-                                c.out.size() > options_.max_write_buffer;
+                                c.out.size() > kMaxWriteBuffer;
         if (!read_gated) {
             want |= EPOLLIN;
         }
@@ -403,9 +408,7 @@ void ServeDaemon::loop() {
             // Drain contract: stop accepting, keep answering what live
             // connections already sent, bounded so a stalled peer cannot
             // hold the daemon open forever.
-            const std::uint64_t bound =
-                idle_ns > 0 ? idle_ns : std::uint64_t{5000} * 1000000u;
-            drain_deadline_ns = now_ns + bound;
+            drain_deadline_ns = now_ns + idle_ns;
             if (accepting) {
                 ::epoll_ctl(epoll_fd.get(), EPOLL_CTL_DEL, listen_fd_,
                             nullptr);
@@ -432,12 +435,9 @@ void ServeDaemon::loop() {
             }
         }
 
-        const int timeout_ms = options_.accept_poll_ms > 0
-                                   ? options_.accept_poll_ms
-                                   : 50;
         const int n = ::epoll_wait(epoll_fd.get(), events.data(),
                                    static_cast<int>(events.size()),
-                                   timeout_ms);
+                                   kPollTickMs);
         if (n < 0) {
             if (errno == EINTR) {
                 continue;
@@ -480,18 +480,16 @@ void ServeDaemon::loop() {
         // Idle sweep: disconnect peers with no progress and no work, so a
         // stalled connection cannot pin its slot forever. Connections with
         // a request in flight or unflushed output are never idle.
-        if (idle_ns > 0) {
-            std::vector<std::uint64_t> idle;
-            for (const auto& [id, c] : conns) {
-                if (!c.in_flight && c.out.empty() &&
-                    now_ns >= c.last_activity_ns &&
-                    now_ns - c.last_activity_ns > idle_ns) {
-                    idle.push_back(id);
-                }
+        std::vector<std::uint64_t> idle;
+        for (const auto& [id, c] : conns) {
+            if (!c.in_flight && c.out.empty() &&
+                now_ns >= c.last_activity_ns &&
+                now_ns - c.last_activity_ns > idle_ns) {
+                idle.push_back(id);
             }
-            for (const std::uint64_t id : idle) {
-                close_conn(id);
-            }
+        }
+        for (const std::uint64_t id : idle) {
+            close_conn(id);
         }
     }
 

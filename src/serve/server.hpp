@@ -33,14 +33,8 @@ struct ServerOptions {
     /// Per-connection idle timeout: a connection with no readable progress
     /// and no request in flight for this long is disconnected, so a stalled
     /// peer cannot pin a connection slot forever. Also bounds the shutdown
-    /// drain (see stop()/`shutdown`). <= 0 disables the idle timeout.
+    /// drain (see stop()/`shutdown`). Must be positive.
     int recv_timeout_ms = 5000;
-    /// Upper bound on the epoll_wait tick (stop-flag and idle-scan latency).
-    int accept_poll_ms = 50;
-    /// Write-buffer cap per connection: while a connection has more than
-    /// this many response bytes unflushed (a client that sends but never
-    /// reads), the daemon stops reading from it until the buffer drains.
-    std::size_t max_write_buffer = 1 << 20;
     /// Longest accepted request line (terminator excluded); one byte more
     /// is a protocol violation that closes the connection. The default
     /// kMaxRequestLine covers every query verb; fleet daemons raise it so

@@ -243,7 +243,6 @@ TEST(EvalScorer, ScoringIsDeterministicForFixedSeed) {
     ScoreOptions options;
     options.noise = 0.05;
     options.seed = 3;
-    options.coverage_draws = 4;
     const CaseScore a = score_case(oracle, options);
     const CaseScore b = score_case(oracle, options);
     EXPECT_DOUBLE_EQ(a.smape_in_range, b.smape_in_range);

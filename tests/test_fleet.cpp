@@ -419,12 +419,23 @@ TEST(FleetService, QuarantineNeverPoisons) {
 }
 
 TEST(FleetService, RejectsBadNamesAndOversizedPayloads) {
-    fleet::FleetOptions opts;
-    opts.max_payload_bytes = 64;
-    Fixture fx("limits", opts);
+    Fixture fx("limits");
     EXPECT_THROW(fx.service->handle_ingest("bad/name", "x"), Error);
-    EXPECT_THROW(
-        fx.service->handle_ingest("demo", std::string(65, 'x')), Error);
+    const auto error_of = [&](const std::string& payload) {
+        try {
+            fx.service->handle_ingest("demo", payload);
+        } catch (const Error& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    // One byte over the cap is refused before parsing; at the cap the
+    // payload reaches the parser (and is quarantined as not EDP).
+    const std::size_t cap = fleet::kMaxPayloadBytes;
+    const std::string over = error_of(std::string(cap + 1, 'x'));
+    EXPECT_EQ(over.rfind("payload too large", 0), 0u) << over;
+    const std::string at = error_of(std::string(cap, 'x'));
+    EXPECT_EQ(at.find("too large"), std::string::npos) << at;
     EXPECT_EQ(fx.service->stats().accepted, 0u);
 }
 

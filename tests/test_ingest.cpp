@@ -18,8 +18,6 @@
 // pipeline built on top of them.
 
 using namespace extradeep;
-using aggregation::ExperimentValidationOptions;
-using aggregation::RunValidationOptions;
 using profiling::ProfiledRun;
 
 namespace {
@@ -109,14 +107,6 @@ TEST(ValidateRun, RejectsNonMonotonicStepIndices) {
     EXPECT_FALSE(v.keep);
 }
 
-TEST(ValidateRun, RejectsRankCountMismatch) {
-    RunValidationOptions options;
-    options.expected_ranks = 4;
-    EXPECT_FALSE(aggregation::validate_run(good_run(), options).keep);
-    options.expected_ranks = 2;
-    EXPECT_TRUE(aggregation::validate_run(good_run(), options).keep);
-}
-
 TEST(ValidateRun, RejectsRunWithoutStepWindows) {
     ProfiledRun run = good_run();
     for (auto& rank : run.ranks) rank.marks.clear();
@@ -141,18 +131,25 @@ TEST(ValidateExperiment, DropsBadRepetitionKeepsConfiguration) {
 }
 
 TEST(ValidateExperiment, MinRepetitionsFloorDropsConfiguration) {
+    // The floor is one surviving repetition: a configuration whose every
+    // repetition is unusable is dropped whole, with one error naming it.
     std::vector<std::vector<ProfiledRun>> configs(1);
     configs[0].push_back(good_run(4.0, 0));
     configs[0].push_back(good_run(4.0, 1, 2, 2));
-    configs[0][1].ranks.clear();  // one repetition is unusable
-    ExperimentValidationOptions options;
-    options.min_repetitions = 2;
+    for (auto& run : configs[0]) run.ranks.clear();
     const aggregation::ExperimentVerdict v =
-        aggregation::validate_experiment(configs, options);
+        aggregation::validate_experiment(configs);
     EXPECT_FALSE(v.keep_config[0]);
-    EXPECT_FALSE(v.keep_run[0][0]);  // cleared with the configuration
+    EXPECT_FALSE(v.keep_run[0][0]);
     EXPECT_EQ(v.configs_dropped, 1u);
+    EXPECT_EQ(v.runs_dropped, 2u);
     EXPECT_FALSE(v.any_usable());
+    bool named = false;
+    for (const auto& d : v.diagnostics.entries()) {
+        named = named || d.reason == "configuration 0: dropped: only 0 of 2 "
+                                     "repetition(s) usable, need 1";
+    }
+    EXPECT_TRUE(named);
 }
 
 TEST(ValidateExperiment, DropsRepetitionWithMismatchedParams) {
@@ -177,12 +174,6 @@ TEST(ValidateExperiment, EnforcesUniformRankCounts) {
     EXPECT_TRUE(v.keep_run[0][1]);
     EXPECT_FALSE(v.keep_run[0][2]);
     EXPECT_EQ(v.runs_dropped, 1u);
-
-    ExperimentValidationOptions lax;
-    lax.require_uniform_ranks = false;
-    const aggregation::ExperimentVerdict v2 =
-        aggregation::validate_experiment(configs, lax);
-    EXPECT_TRUE(v2.keep_run[0][2]);
 }
 
 TEST(ValidateExperiment, DuplicateRepetitionIndexIsOnlyAWarning) {

@@ -195,7 +195,7 @@ IngestResult reference_ingest_runs(
         result.runs_total += runs.size();
     }
     const aggregation::ExperimentVerdict verdict =
-        aggregation::validate_experiment(configs, options.validation);
+        aggregation::validate_experiment(configs);
     result.diagnostics.merge(verdict.diagnostics);
     for (std::size_t c = 0; c < configs.size(); ++c) {
         if (!verdict.keep_config[c]) {

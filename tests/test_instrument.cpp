@@ -158,18 +158,6 @@ TEST(Instrument, PreservesUnrelatedCode) {
     EXPECT_NE(r.source.find("import os"), std::string::npos);
 }
 
-TEST(Instrument, OptionsDisablePasses) {
-    InstrumentOptions opts;
-    opts.annotate_functions = false;
-    const auto r = instrument_python(
-        "def f():\n"
-        "    for epoch in range(2):\n"
-        "        g()\n",
-        opts);
-    EXPECT_EQ(r.functions_annotated, 0);
-    EXPECT_EQ(r.loops_annotated, 1);
-}
-
 TEST(Instrument, EmptyLoopBodyIgnored) {
     const auto r = instrument_python("for epoch in range(2):\n");
     EXPECT_EQ(r.loops_annotated, 0);

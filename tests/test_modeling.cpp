@@ -474,34 +474,6 @@ TEST(Fitter, DecreasingDataGetsNegativeTerm) {
     EXPECT_LT(m.evaluate(64.0), m.evaluate(2.0));
 }
 
-TEST(Fitter, NegativeExponentsRecoverStrongScalingShape) {
-    // f(x) = 5 + 100/x: only representable with negative exponents.
-    FitOptions opts;
-    opts.space.include_negative_exponents = true;
-    std::vector<double> ys;
-    for (const double x : kXs) {
-        ys.push_back(5.0 + 100.0 / x);
-    }
-    const PerformanceModel m = ModelGenerator(opts).fit(kXs, ys);
-    for (const double x : {3.0, 128.0, 512.0}) {
-        const double truth = 5.0 + 100.0 / x;
-        EXPECT_NEAR(m.evaluate(x), truth, 0.03 * truth) << x;
-    }
-}
-
-TEST(Fitter, NegativeExponentsOffByDefault) {
-    SearchSpace space;
-    for (const auto& f : space.single_parameter_factors(0)) {
-        EXPECT_GE(f.poly_exp, 0.0);
-    }
-    space.include_negative_exponents = true;
-    bool has_negative = false;
-    for (const auto& f : space.single_parameter_factors(0)) {
-        if (f.poly_exp < 0.0) has_negative = true;
-    }
-    EXPECT_TRUE(has_negative);
-}
-
 // ---------------------------------------------------------------------------
 // Selection-score behaviour: the parsimony bias and the leave-one-out CV
 // score that drive hypothesis selection (paper Sec. 2.3.1).
@@ -736,7 +708,6 @@ TEST(Fitter, SharedDesignBitIdenticalToDirectFit) {
     struct Case {
         const char* name;
         int max_terms;
-        bool negative_exponents;
         std::vector<double> xs;
     };
     // Four points at 2 * (1 + j 1e-8) and one far away: every non-constant
@@ -747,13 +718,13 @@ TEST(Fitter, SharedDesignBitIdenticalToDirectFit) {
                                              2.0 * (1.0 + 2e-8),
                                              2.0 * (1.0 + 3e-8), 64.0};
     const std::vector<Case> cases = {
-        {"1-term, min_points", 1, false, {2, 4, 8, 16, 32}},
-        {"1-term, repeated xs", 1, false, {2, 2, 4, 4, 8, 8}},
-        {"1-term, negative exponents", 1, true, {1, 2, 4, 8, 16, 32}},
-        {"1-term, non-finite basis", 1, false, {2, 4, 8, 16, 1e120}},
-        {"1-term, LOO fails Cholesky only", 1, false, cholesky_xs},
-        {"2-term", 2, false, {2, 4, 6, 8, 12, 16, 24}},
-        {"2-term, negative exponents", 2, true, {1, 2, 4, 8, 16, 32}},
+        {"1-term, min_points", 1, {2, 4, 8, 16, 32}},
+        {"1-term, repeated xs", 1, {2, 2, 4, 4, 8, 8}},
+        {"1-term, log2(x) = 0 at x = 1", 1, {1, 2, 4, 8, 16, 32}},
+        {"1-term, non-finite basis", 1, {2, 4, 8, 16, 1e120}},
+        {"1-term, LOO fails Cholesky only", 1, cholesky_xs},
+        {"2-term", 2, {2, 4, 6, 8, 12, 16, 24}},
+        {"2-term, log2(x) = 0 at x = 1", 2, {1, 2, 4, 8, 16, 32}},
     };
     {
         // The Cholesky-only case really occurs: x^1 passes on all five
@@ -782,7 +753,6 @@ TEST(Fitter, SharedDesignBitIdenticalToDirectFit) {
         SCOPED_TRACE(c.name);
         FitOptions options;
         options.space.max_terms = c.max_terms;
-        options.space.include_negative_exponents = c.negative_exponents;
         const ModelGenerator gen(options);
         const ModelGenerator::Design design = gen.design(c.xs);
 

@@ -383,11 +383,10 @@ TEST(SelfProfile, SanitizesSpanNamesAndShapesRun) {
 
     obs::SelfProfileOptions options;
     options.params = {{"x1", 4.0}};
-    options.repetition = 2;
     const profiling::ProfiledRun run =
         obs::spans_to_run(tracer.snapshot(), options);
 
-    EXPECT_EQ(run.repetition, 2);
+    EXPECT_EQ(run.repetition, 0);
     ASSERT_EQ(run.ranks.size(), 1u);
     ASSERT_EQ(run.params.at("x1"), 4.0);
     // obs_warmup + one event per span; names EDP-safe.

@@ -109,9 +109,9 @@ TEST(Planner, ValidatesOptions) {
                  InvalidArgumentError);
 
     eval::OracleMeasurementSource source(find_case("linear"), mat);
-    planner::PlanOptions bad_seed = planner::PlanOptions{};
-    bad_seed.seed_pulls = 0;
-    EXPECT_THROW(planner::run_plan(source, bad_seed), InvalidArgumentError);
+    planner::PlanOptions bad_pulls = planner::PlanOptions{};
+    bad_pulls.max_pulls_per_arm = 0;  // extradeep-plan --max-pulls 0
+    EXPECT_THROW(planner::run_plan(source, bad_pulls), InvalidArgumentError);
     planner::PlanOptions bad_width = planner::PlanOptions{};
     bad_width.target_rel_width = 0.0;
     EXPECT_THROW(planner::run_plan(source, bad_width), InvalidArgumentError);

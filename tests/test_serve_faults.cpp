@@ -171,11 +171,11 @@ TEST(EdpmFaults, DiagnosticStorageIsCapped) {
     text += "END\n";
     serve::EdpmReadOptions tolerant;
     tolerant.mode = ParseMode::Tolerant;
-    tolerant.max_diagnostics = 100;
     std::istringstream is(text);
     const serve::EdpmReadResult result = serve::read_edpm(is, tolerant);
     EXPECT_FALSE(result.ok());
-    EXPECT_LE(result.diagnostics.entries().size(), 100u);
+    EXPECT_LE(result.diagnostics.entries().size(),
+              DiagnosticLog::kDefaultCapacity);
     EXPECT_GE(result.diagnostics.total(), 5000u);
 }
 
