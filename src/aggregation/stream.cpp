@@ -178,7 +178,7 @@ RunAggregate RunAggregator::finish() {
 }
 
 void ConfigAggregator::add_run(const std::map<std::string, double>& params,
-                               RunAggregate run) {
+                               const RunAggregate& run) {
     if (n_reps_ == 0) {
         params_ = params;
     } else if (params != params_) {
@@ -189,7 +189,7 @@ void ConfigAggregator::add_run(const std::map<std::string, double>& params,
         throw InvalidArgumentError("aggregate_runs: run without ranks");
     }
     const std::size_t rep = n_reps_++;
-    for (auto& [name, k] : run.kernels) {
+    for (const auto& [name, k] : run.kernels) {
         Rec& rec = kernels_[name];
         rec.category = k.category;
         rec.per_rep.resize(n_reps_, KernelValues{});

@@ -132,7 +132,7 @@ private:
 class ConfigAggregator {
 public:
     void add_run(const std::map<std::string, double>& params,
-                 RunAggregate run);
+                 const RunAggregate& run);
 
     std::size_t runs() const { return n_reps_; }
 

@@ -18,46 +18,117 @@ namespace extradeep {
 
 namespace {
 
-/// Everything the streaming ingest retains per run: identity, per-run
-/// validation verdict, and the fully reduced per-kernel aggregate. The
-/// run's events/marks are gone by the time this exists.
-struct StreamedRun {
-    std::map<std::string, double> params;
-    int repetition = 0;
-    std::size_t n_ranks = 0;
-    aggregation::RunVerdict verdict;
-    aggregation::RunAggregate aggregate;
-};
-
-/// Outcome of digesting one EDP file record-at-a-time.
-struct StreamedFile {
-    DiagnosticLog parse_log;  ///< unscoped reader diagnostics
-    bool ok = false;          ///< no Error-severity parse diagnostic
-    StreamedRun run;          ///< valid only when ok
-};
-
-/// One pass over an EDP file: folds records into (a) a marks-only skeleton
-/// run for validation and (b) per-rank reduced aggregates. Buffers at most
-/// one rank block (the current rank's marks + compact events) at a time —
-/// event assignment to step windows orders the whole rank's events by start
-/// time, so a rank must be complete before it can be reduced bit-identically
-/// to aggregate_runs over the parsed run. Event names are interned once per
-/// file, so a buffered event holds a kernel id, not a string. Throws like
-/// read_edp_file in strict mode (and on unopenable files in any mode).
-StreamedFile stream_digest_file(const std::string& path,
-                                const IngestOptions& options) {
-    const obs::Span span{"ingest.stream_edp"};
-    std::ifstream is(path);
-    if (!is) {
-        throw Error("EDP: cannot open for reading: " + path);
+/// Groups runs by their full parameter map and orders configurations by the
+/// primary parameter, repetitions by repetition index.
+std::vector<std::vector<DigestedRun>> group_by_configuration(
+    std::map<std::map<std::string, double>, std::vector<DigestedRun>>&&
+        groups,
+    const std::string& primary_parameter) {
+    std::vector<std::vector<DigestedRun>> configs;
+    configs.reserve(groups.size());
+    for (auto& [params, runs] : groups) {
+        // Repetition order on disk is arbitrary; sort for reproducibility.
+        std::stable_sort(runs.begin(), runs.end(),
+                         [](const DigestedRun& a, const DigestedRun& b) {
+                             return a.repetition < b.repetition;
+                         });
+        configs.push_back(std::move(runs));
     }
-    profiling::EdpReadOptions read_options;
-    read_options.mode = options.mode;
+    std::stable_sort(configs.begin(), configs.end(),
+                     [&](const auto& a, const auto& b) {
+                         return a.front().params.at(primary_parameter) <
+                                b.front().params.at(primary_parameter);
+                     });
+    return configs;
+}
+
+void record_ingest_metrics(const IngestResult& result) {
+    if (obs::trace_enabled()) {
+        obs::MetricsRegistry& metrics = obs::global_metrics();
+        metrics.counter("extradeep_ingest_runs_total")
+            .increment(result.runs_total);
+        metrics.counter("extradeep_ingest_runs_dropped_total")
+            .increment(result.runs_total - result.runs_kept);
+        metrics.counter("extradeep_ingest_configs_total")
+            .increment(result.configs_total);
+    }
+}
+
+/// Cross-run validation + per-configuration aggregation over reduced run
+/// summaries, the assembly stage both public entry points share. It uses
+/// validate_experiment_facts and the ConfigAggregator core, so diagnostics
+/// and aggregates are bit-identical to validate_experiment + aggregate_runs
+/// over the full runs.
+IngestResult ingest_streamed_runs(std::span<std::vector<DigestedRun>> configs,
+                                  const IngestOptions& options) {
+    const obs::Span ingest_span{"ingest.runs"};
+    IngestResult result;
+    result.data = aggregation::ExperimentData(options.primary_parameter);
+    result.configs_total = configs.size();
+    for (const auto& runs : configs) {
+        result.runs_total += runs.size();
+    }
+
+    std::vector<std::vector<aggregation::ValidatedRunFacts>> facts(
+        configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        facts[c].reserve(configs[c].size());
+        for (const auto& run : configs[c]) {
+            aggregation::ValidatedRunFacts f;
+            f.params = run.params;
+            f.n_ranks = run.n_ranks;
+            f.repetition = run.repetition;
+            f.verdict = run.verdict;
+            facts[c].push_back(std::move(f));
+        }
+    }
+    aggregation::ExperimentVerdict verdict = [&] {
+        const obs::Span validate_span{"ingest.validate_experiment"};
+        return aggregation::validate_experiment_facts(facts);
+    }();
+    result.diagnostics.merge(verdict.diagnostics);
+
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        if (!verdict.keep_config[c]) {
+            continue;
+        }
+        std::size_t kept = 0;
+        try {
+            const obs::Span aggregate_span{"ingest.aggregate_config"};
+            aggregation::ConfigAggregator agg;
+            for (std::size_t r = 0; r < configs[c].size(); ++r) {
+                if (!verdict.keep_run[c][r]) continue;
+                agg.add_run(configs[c][r].params, configs[c][r].aggregate);
+                ++kept;
+            }
+            result.data.add(agg.finish());
+        } catch (const Error& e) {
+            result.diagnostics.add(
+                Severity::Error,
+                "configuration " + std::to_string(c) + " dropped: " + e.what());
+            continue;
+        }
+        result.configs_kept += 1;
+        result.runs_kept += kept;
+    }
+    record_ingest_metrics(result);
+    return result;
+}
+
+}  // namespace
+
+EdpDigest digest_edp(std::istream& is,
+                     const profiling::EdpReadOptions& read_options,
+                     int discard_warmup_epochs) {
+    const obs::Span span{"ingest.stream_edp"};
     profiling::EdpStreamReader reader(is, read_options);
 
     profiling::ProfiledRun skeleton;  // params/rep/wall + marks-only ranks
     // In-flight rank block; the event vector keeps its capacity across
-    // ranks, and the name table lives for the file.
+    // ranks, and the name table lives for the run. Event assignment to
+    // step windows orders the whole rank's events by start time, so a rank
+    // must be complete before it can be reduced bit-identically to
+    // aggregate_runs over the parsed run.
     trace::RankTrace current;  // rank id + marks
     std::vector<aggregation::KernelEvent> events;
     aggregation::KernelNames names;
@@ -74,7 +145,7 @@ StreamedFile stream_digest_file(const std::string& path,
             try {
                 run_agg.add_rank_values(aggregation::aggregate_rank_events(
                     current.marks, events, names.names(),
-                    options.aggregation.discard_warmup_epochs));
+                    discard_warmup_epochs));
             } catch (const ParseError&) {
                 aggregate_ok = false;
             }
@@ -117,7 +188,7 @@ StreamedFile stream_digest_file(const std::string& path,
     }
     finalize_rank();
 
-    StreamedFile out;
+    EdpDigest out;
     out.parse_log = reader.take_diagnostics();
     out.ok = !out.parse_log.has_errors();
     if (!out.ok) {
@@ -137,106 +208,6 @@ StreamedFile stream_digest_file(const std::string& path,
     return out;
 }
 
-/// Groups runs by their full parameter map and orders configurations by the
-/// primary parameter, repetitions by repetition index.
-std::vector<std::vector<StreamedRun>> group_by_configuration(
-    std::map<std::map<std::string, double>, std::vector<StreamedRun>>&&
-        groups,
-    const std::string& primary_parameter) {
-    std::vector<std::vector<StreamedRun>> configs;
-    configs.reserve(groups.size());
-    for (auto& [params, runs] : groups) {
-        // Repetition order on disk is arbitrary; sort for reproducibility.
-        std::stable_sort(runs.begin(), runs.end(),
-                         [](const StreamedRun& a, const StreamedRun& b) {
-                             return a.repetition < b.repetition;
-                         });
-        configs.push_back(std::move(runs));
-    }
-    std::stable_sort(configs.begin(), configs.end(),
-                     [&](const auto& a, const auto& b) {
-                         return a.front().params.at(primary_parameter) <
-                                b.front().params.at(primary_parameter);
-                     });
-    return configs;
-}
-
-void record_ingest_metrics(const IngestResult& result) {
-    if (obs::trace_enabled()) {
-        obs::MetricsRegistry& metrics = obs::global_metrics();
-        metrics.counter("extradeep_ingest_runs_total")
-            .increment(result.runs_total);
-        metrics.counter("extradeep_ingest_runs_dropped_total")
-            .increment(result.runs_total - result.runs_kept);
-        metrics.counter("extradeep_ingest_configs_total")
-            .increment(result.configs_total);
-    }
-}
-
-/// Cross-run validation + per-configuration aggregation over reduced run
-/// summaries, the assembly stage both public entry points share. It uses
-/// validate_experiment_facts and the ConfigAggregator core, so diagnostics
-/// and aggregates are bit-identical to validate_experiment + aggregate_runs
-/// over the full runs.
-IngestResult ingest_streamed_runs(std::span<std::vector<StreamedRun>> configs,
-                                  const IngestOptions& options) {
-    const obs::Span ingest_span{"ingest.runs"};
-    IngestResult result;
-    result.data = aggregation::ExperimentData(options.primary_parameter);
-    result.configs_total = configs.size();
-    for (const auto& runs : configs) {
-        result.runs_total += runs.size();
-    }
-
-    std::vector<std::vector<aggregation::ValidatedRunFacts>> facts(
-        configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        facts[c].reserve(configs[c].size());
-        for (const auto& run : configs[c]) {
-            aggregation::ValidatedRunFacts f;
-            f.params = run.params;
-            f.n_ranks = run.n_ranks;
-            f.repetition = run.repetition;
-            f.verdict = run.verdict;
-            facts[c].push_back(std::move(f));
-        }
-    }
-    aggregation::ExperimentVerdict verdict = [&] {
-        const obs::Span validate_span{"ingest.validate_experiment"};
-        return aggregation::validate_experiment_facts(facts);
-    }();
-    result.diagnostics.merge(verdict.diagnostics);
-
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        if (!verdict.keep_config[c]) {
-            continue;
-        }
-        std::size_t kept = 0;
-        try {
-            const obs::Span aggregate_span{"ingest.aggregate_config"};
-            aggregation::ConfigAggregator agg;
-            for (std::size_t r = 0; r < configs[c].size(); ++r) {
-                if (!verdict.keep_run[c][r]) continue;
-                agg.add_run(configs[c][r].params,
-                            std::move(configs[c][r].aggregate));
-                ++kept;
-            }
-            result.data.add(agg.finish());
-        } catch (const Error& e) {
-            result.diagnostics.add(
-                Severity::Error,
-                "configuration " + std::to_string(c) + " dropped: " + e.what());
-            continue;
-        }
-        result.configs_kept += 1;
-        result.runs_kept += kept;
-    }
-    record_ingest_metrics(result);
-    return result;
-}
-
-}  // namespace
-
 std::string IngestResult::summary() const {
     std::ostringstream os;
     os << "kept " << runs_kept << "/" << runs_total << " runs, "
@@ -252,11 +223,11 @@ IngestResult ingest_runs(
     const IngestOptions& options) {
     // Reduce each run up front (validate_run + per-rank fold), so no copies
     // of the kept runs are made.
-    std::vector<std::vector<StreamedRun>> summaries(configs.size());
+    std::vector<std::vector<DigestedRun>> summaries(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
         summaries[c].reserve(configs[c].size());
         for (const auto& run : configs[c]) {
-            StreamedRun s;
+            DigestedRun s;
             s.params = run.params;
             s.repetition = run.repetition;
             s.n_ranks = run.ranks.size();
@@ -286,7 +257,7 @@ IngestResult ingest_edp_files(std::span<const std::string> paths,
                               const IngestOptions& options) {
     const obs::Span files_span{"ingest.edp_files"};
     struct Slot {
-        StreamedFile file;
+        EdpDigest file;
         std::exception_ptr error;
     };
     std::vector<Slot> slots(paths.size());
@@ -301,7 +272,13 @@ IngestResult ingest_edp_files(std::span<const std::string> paths,
                       [&](int, std::size_t, std::size_t) {
         for (std::size_t i = next++; i < paths.size(); i = next++) {
             try {
-                slots[i].file = stream_digest_file(paths[i], options);
+                std::ifstream is(paths[i]);
+                if (!is) {
+                    throw Error("EDP: cannot open for reading: " + paths[i]);
+                }
+                slots[i].file = digest_edp(
+                    is, profiling::EdpReadOptions{options.mode},
+                    options.aggregation.discard_warmup_epochs);
             } catch (...) {
                 slots[i].error = std::current_exception();
             }
@@ -313,7 +290,7 @@ IngestResult ingest_edp_files(std::span<const std::string> paths,
     // regardless of num_threads.
     DiagnosticLog parse_log;
     std::size_t dropped_files = 0;
-    std::map<std::map<std::string, double>, std::vector<StreamedRun>> groups;
+    std::map<std::map<std::string, double>, std::vector<DigestedRun>> groups;
     for (std::size_t i = 0; i < paths.size(); ++i) {
         const std::string& path = paths[i];
         Slot& slot = slots[i];
@@ -352,7 +329,7 @@ IngestResult ingest_edp_files(std::span<const std::string> paths,
         groups[slot.file.run.params].push_back(std::move(slot.file.run));
     }
 
-    std::vector<std::vector<StreamedRun>> configs =
+    std::vector<std::vector<DigestedRun>> configs =
         group_by_configuration(std::move(groups), options.primary_parameter);
 
     IngestResult result = ingest_streamed_runs(configs, options);

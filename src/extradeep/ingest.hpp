@@ -1,11 +1,14 @@
 #pragma once
 
+#include <iosfwd>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "aggregation/aggregate.hpp"
 #include "aggregation/experiment.hpp"
+#include "aggregation/stream.hpp"
 #include "aggregation/validate.hpp"
 #include "profiling/edp_io.hpp"
 
@@ -64,6 +67,35 @@ struct IngestResult {
     /// "kept 18/20 runs, 4/5 configurations; 7 warnings"
     std::string summary() const;
 };
+
+/// Everything the streaming ingest retains of one run: identity, per-run
+/// validation verdict, and the fully reduced per-kernel aggregate. The
+/// run's events and marks are gone by the time this exists.
+struct DigestedRun {
+    std::map<std::string, double> params;
+    int repetition = 0;
+    std::size_t n_ranks = 0;
+    aggregation::RunVerdict verdict;
+    aggregation::RunAggregate aggregate;  ///< set only when verdict.keep
+};
+
+/// Outcome of digesting one EDP run record-at-a-time.
+struct EdpDigest {
+    DiagnosticLog parse_log;  ///< unscoped reader diagnostics
+    bool ok = false;          ///< no Error-severity parse diagnostic
+    DigestedRun run;          ///< valid only when ok
+};
+
+/// The one streaming reduction of an EDP run (DESIGN.md §13): a single
+/// pass that folds records into (a) a marks-only skeleton for validate_run
+/// and (b) per-rank aggregates, buffering at most one rank block, whose
+/// event names are interned to kernel ids. Both ingest_edp_files (on a
+/// file) and the fleet's `ingest` verb (on a pushed payload) reduce
+/// through it, so a run yields the same verdict, reasons and bits on
+/// either path. Throws like read_edp in strict mode.
+EdpDigest digest_edp(std::istream& is,
+                     const profiling::EdpReadOptions& read_options,
+                     int discard_warmup_epochs);
 
 /// Ingests pre-grouped runs: one inner vector per measurement point (the
 /// repetitions of that point). Each run is reduced up front, so no copies

@@ -5,14 +5,14 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
-#include "aggregation/validate.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
+#include "extradeep/ingest.hpp"
 #include "obs/trace.hpp"
-#include "profiling/edp_io.hpp"
 #include "serve/serialize.hpp"
 
 namespace extradeep::fleet {
@@ -20,6 +20,11 @@ namespace extradeep::fleet {
 namespace fs = std::filesystem;
 
 namespace {
+
+/// A quiescence deadline this far off (about 146 years) counts as none, so
+/// adding it to the steady clock cannot overflow.
+constexpr std::uint64_t kNoDeadline =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max() / 2);
 
 /// First Error-severity diagnostic (fallback: summary) as a single-line
 /// reason for quarantine messages.
@@ -50,11 +55,9 @@ FleetService::FleetService(FleetOptions options,
     if (options_.models_dir.empty()) {
         throw InvalidArgumentError("FleetService: models_dir required");
     }
-    if (options_.min_runs < 1 || options_.window < 1 ||
-        options_.max_pending < options_.min_runs) {
+    if (options_.min_runs < 1 || options_.window < 1) {
         throw InvalidArgumentError(
-            "FleetService: require min_runs >= 1, window >= 1, "
-            "max_pending >= min_runs");
+            "FleetService: require min_runs >= 1, window >= 1");
     }
     if (options_.fit_threads < 1) {
         throw InvalidArgumentError("FleetService: require fit_threads >= 1");
@@ -92,33 +95,34 @@ std::string FleetService::handle_ingest(const std::string& experiment,
         throw Error("payload too large (" + std::to_string(payload.size()) +
                     " > " + std::to_string(kMaxPayloadBytes) + " bytes)");
     }
-    return ingest_bytes(experiment, serve::unescape_lines(payload), "push");
+    std::istringstream edp(serve::unescape_lines(payload));
+    return ingest_run(experiment, edp, "push");
 }
 
-std::string FleetService::ingest_bytes(const std::string& experiment,
-                                       const std::string& edp_bytes,
-                                       const std::string& source) {
+std::string FleetService::ingest_run(const std::string& experiment,
+                                     std::istream& edp,
+                                     const std::string& source) {
     const obs::Span span{"fleet.ingest"};
-    profiling::EdpReadResult parsed;
+    // Parse, validate and reduce in one pass (Fig. 2 steps (1)-(2)); only
+    // O(kernels) survives.
+    EdpDigest digest;
     try {
-        std::istringstream is(edp_bytes);
-        parsed = profiling::read_edp(
-            is, profiling::EdpReadOptions{ParseMode::Tolerant, 64});
+        digest = digest_edp(
+            edp, profiling::EdpReadOptions{ParseMode::Tolerant, 64},
+            options_.spec.sampling.discard_warmup_epochs);
     } catch (const Error& e) {
         quarantine(source + ": " + e.what());
     }
-    if (!parsed.ok()) {
-        quarantine(source + ": parse: " +
-                   first_error_reason(parsed.diagnostics));
+    if (!digest.ok) {
+        quarantine(source + ": parse: " + first_error_reason(digest.parse_log));
     }
-    const aggregation::RunVerdict verdict =
-        aggregation::validate_run(parsed.run);
-    if (!verdict.keep) {
+    DigestedRun& run = digest.run;
+    if (!run.verdict.keep) {
         quarantine(source + ": validation: " +
-                   first_error_reason(verdict.diagnostics));
+                   first_error_reason(run.verdict.diagnostics));
     }
-    const auto x1_it = parsed.run.params.find("x1");
-    if (x1_it == parsed.run.params.end()) {
+    const auto x1_it = run.params.find("x1");
+    if (x1_it == run.params.end()) {
         quarantine(source + ": missing parameter x1");
     }
     const double x1 = x1_it->second;
@@ -126,32 +130,18 @@ std::string FleetService::ingest_bytes(const std::string& experiment,
         quarantine(source + ": parameter x1 must be a positive integer");
     }
 
-    // Per-run reduction (Fig. 2 steps (1)-(2)); only O(kernels) survives.
-    aggregation::RunAggregate reduced;
-    try {
-        aggregation::RunAggregator run_agg;
-        for (const auto& rank : parsed.run.ranks) {
-            run_agg.add_rank(rank,
-                             options_.spec.sampling.discard_warmup_epochs);
-        }
-        reduced = run_agg.finish();
-    } catch (const Error& e) {
-        quarantine(source + ": aggregation: " + std::string(e.what()));
-    }
-
     const std::uint64_t now = clock_->now_ns();
     std::uint64_t gen = 0;
     std::uint64_t pending = 0;
-    std::size_t ranks = parsed.run.ranks.size();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ExperimentState& st = experiments_[experiment];
         auto slot_it = st.configs.find(x1);
         if (slot_it == st.configs.end()) {
             ConfigSlot fresh;
-            fresh.params = parsed.run.params;
+            fresh.params = run.params;
             slot_it = st.configs.emplace(x1, std::move(fresh)).first;
-        } else if (slot_it->second.params != parsed.run.params) {
+        } else if (slot_it->second.params != run.params) {
             ++stats_.quarantined;
             if (quarantined_counter_ != nullptr) {
                 quarantined_counter_->increment();
@@ -161,7 +151,9 @@ std::string FleetService::ingest_bytes(const std::string& experiment,
                         fmt::shortest(x1));
         }
         ConfigSlot& slot = slot_it->second;
-        slot.window.push_back(std::move(reduced));
+        slot.window.push_back(
+            std::make_shared<const aggregation::RunAggregate>(
+                std::move(run.aggregate)));
         while (slot.window.size() >
                static_cast<std::size_t>(options_.window)) {
             slot.window.pop_front();
@@ -172,53 +164,65 @@ std::string FleetService::ingest_bytes(const std::string& experiment,
         ++stats_.accepted;
         drain_cv_.notify_all();
     }
+    wake_poller();
     if (accepted_counter_ != nullptr) {
         accepted_counter_->increment();
     }
     return "accepted=1 experiment=" + experiment +
-           " x1=" + fmt::shortest(x1) + " ranks=" + std::to_string(ranks) +
+           " x1=" + fmt::shortest(x1) +
+           " ranks=" + std::to_string(run.n_ranks) +
            " pending=" + std::to_string(pending) +
            " gen=" + std::to_string(gen);
 }
 
-int FleetService::poll_once() {
-    if (!options_.spool_dir.empty()) {
-        for (const SpoolFile& file : spool_.scan()) {
-            try {
-                std::ifstream is(file.path, std::ios::binary);
-                if (!is) {
-                    throw Error("cannot open " + file.path);
-                }
-                std::ostringstream bytes;
-                bytes << is.rdbuf();
-                ingest_bytes(file.experiment, bytes.str(), file.path);
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.spool_files;
-            } catch (const Error&) {
-                // Quarantined (already counted) or unreadable: the loop
-                // must survive any single bad spool file.
+void FleetService::scan_spool() {
+    if (options_.spool_dir.empty()) {
+        return;
+    }
+    for (const SpoolFile& file : spool_.scan()) {
+        try {
+            std::ifstream is(file.path, std::ios::binary);
+            if (!is) {
+                throw Error("cannot open " + file.path);
             }
+            ingest_run(file.experiment, is, file.path);
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.spool_files;
+        } catch (const Error&) {
+            // Quarantined (already counted) or unreadable: the loop
+            // must survive any single bad spool file.
         }
     }
+}
+
+int FleetService::poll_once() {
+    scan_spool();
     return dispatch_due(false);
 }
 
-int FleetService::dispatch_due(bool force) {
-    const std::uint64_t now = clock_->now_ns();
+int FleetService::dispatch_due(bool force, std::uint64_t* wait_ns) {
     std::vector<FitJob> jobs;
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        // Read under the lock: a run accepted between an earlier read and
+        // the lock would have arrived "after now", and the unsigned wait
+        // below would wrap into an early dispatch.
+        const std::uint64_t now = clock_->now_ns();
         for (auto& [name, st] : experiments_) {
             const std::uint64_t pending = st.ingest_gen - st.dispatched_gen;
             if (pending == 0) {
                 continue;
             }
+            const std::uint64_t waited = now - st.last_arrival_ns;
             const bool due =
                 force ||
                 pending >= static_cast<std::uint64_t>(options_.min_runs) ||
-                pending >= static_cast<std::uint64_t>(options_.max_pending) ||
-                now - st.last_arrival_ns >= options_.quiescence_ns;
+                waited >= options_.quiescence_ns;
             if (!due) {
+                if (wait_ns != nullptr) {
+                    *wait_ns = std::min(*wait_ns,
+                                        options_.quiescence_ns - waited);
+                }
                 continue;
             }
             FitJob job;
@@ -227,7 +231,7 @@ int FleetService::dispatch_due(bool force) {
             job.configs.reserve(st.configs.size());
             for (const auto& [x1, slot] : st.configs) {
                 (void)x1;
-                job.configs.push_back(slot);  // deep copy: fits hold no lock
+                job.configs.push_back(slot);  // fits hold no lock
             }
             st.dispatched_gen = st.ingest_gen;
             ++jobs_in_flight_;
@@ -248,8 +252,8 @@ void FleetService::run_fit_job(FitJob job) {
         aggregation::ExperimentData data{"x1"};
         for (const ConfigSlot& slot : job.configs) {
             aggregation::ConfigAggregator agg;
-            for (const aggregation::RunAggregate& run : slot.window) {
-                agg.add_run(slot.params, run);
+            for (const auto& run : slot.window) {
+                agg.add_run(slot.params, *run);
             }
             data.add(agg.finish());
         }
@@ -416,16 +420,49 @@ void FleetService::start(int interval_ms) {
     }
     poller_stop_ = false;
     const auto interval = std::chrono::milliseconds(std::max(interval_ms, 1));
-    poller_ = std::thread([this, interval]() {
-        std::unique_lock<std::mutex> lock(poller_mutex_);
-        while (!poller_stop_) {
-            lock.unlock();
-            poll_once();
-            lock.lock();
-            poller_cv_.wait_for(lock, interval,
-                                [this]() { return poller_stop_; });
+    poller_ = std::thread([this, interval]() { dispatch_loop(interval); });
+}
+
+void FleetService::dispatch_loop(std::chrono::milliseconds scan_interval) {
+    using Steady = std::chrono::steady_clock;
+    const bool spool = !options_.spool_dir.empty();
+    Steady::time_point next_scan = Steady::now();
+    std::unique_lock<std::mutex> lock(poller_mutex_);
+    while (!poller_stop_) {
+        // Cleared before the debounce check: a run accepted from here on
+        // sets it again, so no arrival is missed while this pass runs.
+        poller_woken_ = false;
+        lock.unlock();
+        if (spool && Steady::now() >= next_scan) {
+            scan_spool();
+            next_scan = Steady::now() + scan_interval;
         }
-    });
+        std::uint64_t wait_ns = kNoDeadline;
+        dispatch_due(false, &wait_ns);
+        // Sleep until a run arrives or stop(), the earliest quiescence
+        // deadline, or the next spool scan, whichever comes first.
+        Steady::time_point wake_at =
+            spool ? next_scan : Steady::time_point::max();
+        if (wait_ns < kNoDeadline) {
+            wake_at = std::min(
+                wake_at, Steady::now() + std::chrono::nanoseconds(wait_ns));
+        }
+        lock.lock();
+        const auto woken = [this]() { return poller_stop_ || poller_woken_; };
+        if (wake_at == Steady::time_point::max()) {
+            poller_cv_.wait(lock, woken);
+        } else {
+            poller_cv_.wait_until(lock, wake_at, woken);
+        }
+    }
+}
+
+void FleetService::wake_poller() {
+    {
+        std::lock_guard<std::mutex> lock(poller_mutex_);
+        poller_woken_ = true;
+    }
+    poller_cv_.notify_one();
 }
 
 void FleetService::stop() {

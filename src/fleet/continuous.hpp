@@ -1,8 +1,10 @@
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -32,8 +34,9 @@ struct FleetOptions {
     /// written atomically (tmp + rename) and hot-swapped into the registry
     /// via reload(). Created if missing.
     std::string models_dir;
-    /// Spool directory watched by poll_once (`<spool>/<experiment>/*.edp`);
-    /// empty = push-only (runs arrive via the `ingest` verb exclusively).
+    /// Spool directory scanned by poll_once and the started loop
+    /// (`<spool>/<experiment>/*.edp`); empty = push-only (runs arrive via
+    /// the `ingest` verb exclusively).
     std::string spool_dir;
     /// Template experiment: defines the step math, provenance, sampling
     /// (warmup discard), and seed recorded in exported models. The runs
@@ -44,11 +47,8 @@ struct FleetOptions {
     /// many un-fitted runs ...
     int min_runs = 3;
     /// ... or at least one un-fitted run that has been waiting longer than
-    /// this quiescence window (no newer arrival since), ...
+    /// this quiescence window (no newer arrival since).
     std::uint64_t quiescence_ns = 200'000'000;
-    /// ... or the un-fitted backlog reaches this hard cap (dispatch
-    /// immediately regardless of arrival rate).
-    int max_pending = 16;
     /// Sliding window: newest runs retained per configuration (x1 value).
     /// Re-fits aggregate over the window, so the model tracks drift with a
     /// memory of `window` runs per point.
@@ -82,22 +82,24 @@ struct FleetStats {
 /// every re-fit (keep-last-good, DESIGN.md §14).
 ///
 /// Ingest path (push via the serve `ingest` verb, or spool files picked up
-/// by poll_once — both run the identical pipeline): tolerant EDP parse →
-/// validate_run → per-run reduction (RunAggregator, O(kernels) retained) →
-/// sliding window per configuration. A run that fails any stage is
-/// quarantined: counted, reported as an `err` line (or a diagnostic), and
-/// guaranteed to leave the aggregate untouched — corrupt input can never
-/// poison the models.
+/// by the spool scan — both run the identical pipeline): the streaming
+/// digest_edp (tolerant parse, validate_run on the marks, per-rank
+/// reduction; O(kernels) retained per run) → x1 checks → sliding window
+/// per configuration. A run that fails any stage is quarantined: counted,
+/// reported as an `err` line (or a diagnostic), and guaranteed to leave the
+/// aggregate untouched — corrupt input can never poison the models.
 ///
 /// Debounce and generations: every accepted run bumps the experiment's
-/// ingest generation. poll_once dispatches a refit when the un-fitted
-/// backlog reaches min_runs, a run has waited out the quiescence window, or
-/// the backlog hits max_pending. Each fit job carries the generation it
-/// observed; an install only proceeds if its generation exceeds the highest
-/// installed one, so a slow stale fit can never overwrite a newer model
-/// (it is counted as stale_discarded instead). Staleness — the total number
-/// of accepted runs not yet reflected in served models — is exported as a
-/// gauge and reaches zero exactly when the loop has caught up (drain()).
+/// ingest generation. A refit is due when the un-fitted backlog reaches
+/// min_runs or a run has waited out the quiescence window. The started
+/// loop dispatches it at once: an accepted run wakes it, and between
+/// arrivals it sleeps until the earliest quiescence deadline. Each fit job
+/// carries the generation it observed; an install only proceeds if its
+/// generation exceeds the highest installed one, so a slow stale fit can
+/// never overwrite a newer model (it is counted as stale_discarded
+/// instead). Staleness — the total number of accepted runs not yet
+/// reflected in served models — is exported as a gauge and reaches zero
+/// exactly when the loop has caught up (drain()).
 ///
 /// Thread safety: all public methods are thread-safe; fits run without any
 /// service lock held.
@@ -121,14 +123,19 @@ public:
     void attach_metrics(obs::MetricsRegistry& metrics) override;
     void update_metrics() override;
 
-    /// One tick of the continuous loop: scans the spool (if configured) for
-    /// new runs, then applies the debounce policy and dispatches due refit
-    /// jobs to the pool. Returns the number of jobs dispatched. Never
-    /// throws: quarantined spool files are counted and skipped.
+    /// One step of the continuous loop, the deterministic seam of the
+    /// started loop: scans the spool (if configured) for new runs, then
+    /// applies the debounce policy and dispatches due refit jobs to the
+    /// pool. Returns the number of jobs dispatched. Never throws:
+    /// quarantined spool files are counted and skipped.
     int poll_once();
 
-    /// Runs poll_once every `interval_ms` on a background thread until
-    /// stop(). Idempotent start; stop() is called by the destructor.
+    /// Starts the dispatch loop on a background thread until stop(). It
+    /// dispatches a refit as soon as it falls due: at the arrival that
+    /// brings a backlog to min_runs, or at the earliest quiescence deadline
+    /// of a pending experiment. `interval_ms` paces only the spool scans
+    /// (unused without a spool). Idempotent start; stop() is called by the
+    /// destructor.
     void start(int interval_ms);
     void stop();
 
@@ -154,10 +161,12 @@ public:
     const FleetOptions& options() const { return options_; }
 
 private:
-    /// Sliding per-configuration window of reduced runs.
+    /// Sliding per-configuration window of reduced runs. The runs are
+    /// immutable and shared with fit-job snapshots, so a dispatch copies
+    /// pointers, not kernel maps.
     struct ConfigSlot {
         std::map<std::string, double> params;
-        std::deque<aggregation::RunAggregate> window;
+        std::deque<std::shared_ptr<const aggregation::RunAggregate>> window;
     };
 
     /// All mutable state of one experiment (guarded by mutex_).
@@ -177,16 +186,26 @@ private:
         std::vector<ConfigSlot> configs;  ///< ascending x1
     };
 
-    /// Shared ingest pipeline; `source` labels diagnostics ("push"/path).
-    /// Returns the response payload; throws Error on quarantine.
-    std::string ingest_bytes(const std::string& experiment,
-                             const std::string& edp_bytes,
-                             const std::string& source);
+    /// Shared ingest pipeline over one EDP run; `source` labels
+    /// diagnostics ("push"/path). Returns the response payload; throws
+    /// Error on quarantine.
+    std::string ingest_run(const std::string& experiment, std::istream& edp,
+                           const std::string& source);
     [[noreturn]] void quarantine(const std::string& reason);
 
+    /// Ingests the spool files not seen before (no-op without a spool).
+    void scan_spool();
+
     /// Applies the debounce policy and submits due jobs. Caller holds no
-    /// lock. Returns jobs dispatched.
-    int dispatch_due(bool force);
+    /// lock. Returns jobs dispatched. If `wait_ns` is given and an
+    /// experiment is left pending, sets it to the time until the earliest
+    /// quiescence deadline; otherwise leaves it untouched.
+    int dispatch_due(bool force, std::uint64_t* wait_ns = nullptr);
+
+    /// Body of the started loop (see start()).
+    void dispatch_loop(std::chrono::milliseconds scan_interval);
+    /// Wakes the started loop to re-apply the debounce policy.
+    void wake_poller();
 
     /// Runs one fit job on a pool worker (never throws).
     void run_fit_job(FitJob job);
@@ -212,6 +231,7 @@ private:
     std::thread poller_;
     std::condition_variable poller_cv_;
     bool poller_stop_ = false;
+    bool poller_woken_ = false;  ///< a run arrived since the last dispatch
 
     // Instruments (engine registry); null until attach_metrics.
     obs::Counter* accepted_counter_ = nullptr;

@@ -52,8 +52,10 @@ void usage(const char* argv0) {
         stderr,
         "usage: %s serve --models DIR [--spool DIR] [--port N] [--threads N]\n"
         "               [--fit-threads N] [--min-runs N] [--quiescence-ms N]\n"
-        "               [--window N] [--max-pending N] [--poll-ms N]\n"
-        "               [--max-line BYTES] [--trace SPEC] [spec options]\n"
+        "               [--window N] [--poll-ms N] [--max-line BYTES]\n"
+        "               [--trace SPEC] [spec options]\n"
+        "               (--poll-ms paces spool scans only; a refit is\n"
+        "               dispatched as soon as it falls due)\n"
         "       %s drive (--port N [--host H] | --spool DIR) "
         "--experiment NAME\n"
         "               [--ranks 2,4,6,8,10] [--pre N] [--post N]\n"
@@ -125,8 +127,6 @@ int run_serve(cli::Args& args) {
             fleet_opts.quiescence_ns = args.u64_value(arg) * 1'000'000ULL;
         } else if (arg == "--window") {
             fleet_opts.window = args.int_value(arg);
-        } else if (arg == "--max-pending") {
-            fleet_opts.max_pending = args.int_value(arg);
         } else if (arg == "--poll-ms") {
             poll_ms = args.int_value(arg);
         } else if (arg == "--max-line") {

@@ -162,7 +162,6 @@ ScenarioReport run_drift_scenario(const ScenarioOptions& options) {
     fleet_opts.spec = base_spec;
     fleet_opts.min_runs = static_cast<int>(kRanks.size());
     fleet_opts.quiescence_ns = 10'000'000'000ULL;  // drain() paces refits
-    fleet_opts.max_pending = 4 * fleet_opts.min_runs;
     auto service = std::make_shared<FleetService>(fleet_opts, registry);
     auto engine = std::make_shared<serve::QueryEngine>(registry);
     engine->set_fleet_handler(service);

@@ -64,7 +64,7 @@ ModelGenerator generator_with_threads(int threads, int max_terms = 2) {
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
     // {2 items, 7 threads}: more threads than items, so most chunks are
     // empty and must not run the body.
-    for (const auto [count, threads] :
+    for (const auto& [count, threads] :
          {std::pair{103, 1}, std::pair{103, 2}, std::pair{103, 4},
           std::pair{103, 7}, std::pair{2, 7}}) {
         ThreadPool pool(threads);

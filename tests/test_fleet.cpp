@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,8 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "aggregation/metrics.hpp"
@@ -259,9 +262,6 @@ TEST(FleetService, RejectsBadOptions) {
     bad.window = 0;
     EXPECT_THROW(fleet::FleetService(bad, registry), InvalidArgumentError);
     bad = opts;
-    bad.max_pending = bad.min_runs - 1;
-    EXPECT_THROW(fleet::FleetService(bad, registry), InvalidArgumentError);
-    bad = opts;
     bad.fit_threads = 0;  // not "hardware concurrency": the pool needs >= 1
     EXPECT_THROW(fleet::FleetService(bad, registry), InvalidArgumentError);
     bad.fit_threads = -1;
@@ -385,30 +385,65 @@ TEST(FleetService, QuarantineNeverPoisons) {
     const std::string bytes_before = read_file(fx.models / "guarded.edpm");
     ASSERT_FALSE(bytes_before.empty());
 
-    const std::string good = run_edp_bytes(6, 1);
-    const std::vector<std::string> corrupt = {
-        good.substr(0, good.size() / 2),        // truncated
-        "EDP\t9" + good.substr(good.find('\n')),  // wrong version
-        "not an edp payload at all",            // garbage
+    const auto reason_of = [&](const std::string& payload) {
+        try {
+            ingest_ok(*fx.service, "guarded", payload);
+        } catch (const Error& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
     };
-    for (const std::string& payload : corrupt) {
-        EXPECT_THROW(ingest_ok(*fx.service, "guarded", payload), Error);
+    const std::string good = run_edp_bytes(6, 1);
+    std::string no_marks;  // every step window gone
+    {
+        std::istringstream is(good);
+        for (std::string line; std::getline(is, line);) {
+            if (line.rfind("M\t", 0) != 0) {
+                no_marks += line + "\n";
+            }
+        }
     }
-    // Mismatched parameter vector against an existing configuration.
+    const std::string x1_line = "P\tx1\t6\n";
+    std::string zero_x1 = good;
+    zero_x1.replace(zero_x1.find(x1_line), x1_line.size(), "P\tx1\t0\n");
+    // Runs of another parameter vector: one without x1, and one with an
+    // extra x2 against the existing configuration x1=6.
     ExperimentSpec other = test_spec();
     other.seed = 99;
     const ExperimentRunner runner(other);
     const sim::TrainingSimulator simulator(runner.workload_for(6));
     const profiling::Profiler profiler(other.sampling);
-    const profiling::ProfiledRun mismatched =
-        profiler.profile(simulator, {{"x2", 6.0}}, 0, other.seed);
-    std::ostringstream os;
-    profiling::write_edp(os, mismatched);
-    EXPECT_THROW(ingest_ok(*fx.service, "guarded", os.str()), Error);
+    const auto edp_of = [&](const std::map<std::string, double>& params) {
+        std::ostringstream os;
+        profiling::write_edp(os, profiler.profile(simulator, params, 0,
+                                                  other.seed));
+        return os.str();
+    };
+
+    // Each payload with the exact reason it is quarantined for.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {good.substr(0, good.size() / 2),
+         "quarantined: push: parse: EDP: truncated file (missing END)"},
+        {"EDP\t9" + good.substr(good.find('\n')),
+         "quarantined: push: parse: EDP: unsupported version 9"},
+        {"not an edp payload at all",
+         "quarantined: push: parse: EDP: missing header"},
+        {no_marks,
+         "quarantined: push: validation: validate_run: only 0 complete step "
+         "window(s), need 1"},
+        {zero_x1,
+         "quarantined: push: parameter x1 must be a positive integer"},
+        {edp_of({{"x2", 6.0}}), "quarantined: push: missing parameter x1"},
+        {edp_of({{"x1", 6.0}, {"x2", 6.0}}),
+         "quarantined: push: params mismatch with configuration x1=6"},
+    };
+    for (const auto& [payload, reason] : cases) {
+        EXPECT_EQ(reason_of(payload), reason);
+    }
 
     fx.service->drain();
     const fleet::FleetStats stats = fx.service->stats();
-    EXPECT_EQ(stats.quarantined, corrupt.size() + 1);
+    EXPECT_EQ(stats.quarantined, cases.size());
     EXPECT_EQ(stats.accepted, modeling_ranks().size());
     EXPECT_EQ(read_file(fx.models / "guarded.edpm"), bytes_before);
 
@@ -475,6 +510,51 @@ TEST(FleetService, DebounceMinRunsAndQuiescence) {
     EXPECT_GE(stats.refits_skipped, 2u);
     EXPECT_EQ(stats.refits, 0u);
     EXPECT_EQ(stats.staleness_runs, stats.accepted);
+}
+
+// The started loop dispatches a refit when it falls due, not on its poll
+// interval: both tests start it with a 60 s interval, which a loop that
+// only checks the debounce on that tick cannot meet within the 10 s bound.
+
+/// Polls `done` every few milliseconds for up to 10 s.
+template <typename Done>
+bool within_10s(Done done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            return false;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+}
+
+TEST(FleetService, StartedLoopDispatchesAtMinRuns) {
+    fleet::FleetOptions opts;
+    opts.min_runs = static_cast<int>(modeling_ranks().size());
+    opts.quiescence_ns = 60'000'000'000;  // never reached in this test
+    Fixture fx("started-min-runs", opts);
+    fx.service->start(60'000);
+    for (const int r : modeling_ranks()) {
+        ingest_ok(*fx.service, "live", run_edp_bytes(r, 0));
+    }
+    EXPECT_TRUE(within_10s([&] { return fx.registry->find("live"); }));
+    fx.service->stop();
+    EXPECT_EQ(fx.service->stats().refits, 1u);
+}
+
+TEST(FleetService, StartedLoopDispatchesStragglerAtQuiescence) {
+    fleet::FleetOptions opts;
+    opts.quiescence_ns = 50'000'000;
+    Fixture fx("started-straggler", opts);
+    fx.service->start(60'000);
+    ingest_ok(*fx.service, "straggler", run_edp_bytes(2, 0));
+    // One configuration is below kMinModelingPoints: the job runs and is
+    // skipped, and the skip is what shows that it ran.
+    EXPECT_TRUE(within_10s(
+        [&] { return fx.service->stats().refits_skipped == 1; }));
+    fx.service->stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -87,7 +87,6 @@ struct FuzzRig {
         opts.models_dir = models.string();
         opts.spec = test_spec();
         opts.min_runs = 1;
-        opts.max_pending = 1'000'000;
         registry = std::make_shared<serve::ModelRegistry>();
         service = std::make_shared<fleet::FleetService>(opts, registry);
         engine = std::make_unique<serve::QueryEngine>(registry);
@@ -110,7 +109,6 @@ struct FuzzRig {
         opts.models_dir = models.string();
         opts.spec = test_spec();
         opts.min_runs = 1'000'000;
-        opts.max_pending = 2'000'000;
         service = std::make_shared<fleet::FleetService>(opts, registry);
         engine = std::make_unique<serve::QueryEngine>(registry);
         engine->set_fleet_handler(service);
