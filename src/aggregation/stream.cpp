@@ -11,13 +11,29 @@ namespace extradeep::aggregation {
 using trace::KernelCategory;
 using trace::StepKind;
 
-std::uint32_t KernelNames::intern(const std::string& name) {
-    const auto [it, inserted] =
-        ids_.try_emplace(name, static_cast<std::uint32_t>(names_.size()));
-    if (inserted) {
-        names_.push_back(name);
+std::uint32_t KernelNames::intern(std::string_view name) {
+    // Kernels repeat in the same order every step, so the name that
+    // followed the last one the previous time is almost always the next.
+    const bool have_last = last_ < next_.size();
+    if (have_last) {
+        const std::uint32_t guess = next_[last_];
+        if (guess < names_.size() && names_[guess] == name) {
+            return last_ = guess;
+        }
     }
-    return it->second;
+    std::uint32_t id = 0;
+    if (const auto it = ids_.find(name); it != ids_.end()) {
+        id = it->second;
+    } else {
+        id = static_cast<std::uint32_t>(names_.size());
+        names_.emplace_back(name);
+        next_.push_back(kNone);
+        ids_.emplace(names_.back(), id);
+    }
+    if (have_last) {
+        next_[last_] = id;
+    }
+    return last_ = id;
 }
 
 std::map<std::string, RankKernelValues> aggregate_rank_events(
@@ -118,7 +134,7 @@ std::map<std::string, RankKernelValues> aggregate_rank_events(
                     column.push_back(cells[slot][metric]);
                 }
                 v[kernel_value_index(kind == 0, metric)] =
-                    stats::median(column);
+                    stats::median_in_place(column);
             }
         }
         out.emplace(names[r.kernel], RankKernelValues{r.category, v});
@@ -168,7 +184,7 @@ RunAggregate RunAggregator::finish() {
             for (const auto& pv : s.per_rank) {
                 column.push_back(pv[i]);
             }
-            v[i] = stats::median(column);
+            v[i] = stats::median_in_place(column);
         }
         out.kernels.emplace(
             name, RunKernelAggregate{s.category, v, s.ranks_present});
@@ -221,7 +237,7 @@ ConfigurationData ConfigAggregator::finish() {
             for (const auto& pv : rec.per_rep) {
                 column.push_back(pv[i]);
             }
-            const double med = stats::median(column);
+            const double med = stats::median_in_place(column);
             if (i < 3) {
                 ks.train[i] = med;
             } else {

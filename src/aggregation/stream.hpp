@@ -3,9 +3,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -46,16 +48,28 @@ struct RankKernelValues {
 };
 
 /// Interns kernel names to dense ids, 0, 1, 2, ... in first-seen order.
+/// A lookup builds no string: it first tries the id that followed the last
+/// returned id the previous time, then a hash lookup by view.
 class KernelNames {
 public:
-    std::uint32_t intern(const std::string& name);
+    std::uint32_t intern(std::string_view name);
 
     /// names()[id] is the name interned as id.
     std::span<const std::string> names() const { return names_; }
 
 private:
+    struct Hash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+    static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
     std::vector<std::string> names_;
-    std::unordered_map<std::string, std::uint32_t> ids_;
+    std::unordered_map<std::string, std::uint32_t, Hash, std::equal_to<>>
+        ids_;
+    std::vector<std::uint32_t> next_;  ///< next_[id]: the id after id last time
+    std::uint32_t last_ = kNone;       ///< the id returned last
 };
 
 /// A trace::TraceEvent with its name replaced by a KernelNames id.

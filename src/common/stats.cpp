@@ -53,6 +53,18 @@ double median(std::span<const double> values) {
     return 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
+double median_in_place(std::span<double> values) {
+    require_non_empty(values, "median");
+    const std::size_t n = values.size();
+    const auto mid = values.begin() + static_cast<std::ptrdiff_t>(n / 2);
+    std::nth_element(values.begin(), mid, values.end());
+    if (n % 2 == 1) {
+        return *mid;
+    }
+    // Everything before mid is <= *mid; its maximum is the lower middle.
+    return 0.5 * (*std::max_element(values.begin(), mid) + *mid);
+}
+
 double quantile(std::span<const double> values, double q) {
     require_non_empty(values, "quantile");
     if (q < 0.0 || q > 1.0) {

@@ -14,6 +14,14 @@ double mean(std::span<const double> values);
 /// sizes). Does not require the input to be sorted. Throws on empty input.
 double median(std::span<const double> values);
 
+/// median() without the copy: selects the one or two middle elements of
+/// `values` in place (std::nth_element), leaving them in an unspecified
+/// order. For input without both signed zeros it returns the same bits as
+/// median(), which sorts a copy: the selected elements compare equal to
+/// the sorted copy's middle ones, and equal finite doubles other than
+/// +0.0/-0.0 have equal bits. Throws on empty input.
+double median_in_place(std::span<double> values);
+
 /// Linear-interpolation quantile (type-7, the numpy default). `q` must lie in
 /// [0, 1]. Throws on empty input or out-of-range `q`.
 double quantile(std::span<const double> values, double q);

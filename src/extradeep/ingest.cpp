@@ -160,7 +160,8 @@ EdpDigest digest_edp(std::istream& is,
     while (reader.next(rec)) {
         switch (rec.kind) {
             case profiling::EdpRecord::Kind::Param:
-                skeleton.params[rec.param_name] = rec.number;
+                skeleton.params.insert_or_assign(std::string(rec.name),
+                                                 rec.number);
                 break;
             case profiling::EdpRecord::Kind::Repetition:
                 skeleton.repetition = rec.index;
@@ -177,10 +178,11 @@ EdpDigest digest_edp(std::istream& is,
                 current.marks.push_back(rec.mark);
                 break;
             case profiling::EdpRecord::Kind::Event:
-                events.push_back({names.intern(rec.event.name),
-                                  rec.event.category, rec.event.start,
-                                  rec.event.duration, rec.event.bytes,
-                                  rec.event.visits});
+                // The name is a view into the reader's buffer; interning
+                // looks it up without building a string.
+                events.push_back({names.intern(rec.name), rec.event.category,
+                                  rec.event.start, rec.event.duration,
+                                  rec.event.bytes, rec.event.visits});
                 break;
             case profiling::EdpRecord::Kind::End:
                 break;
@@ -277,7 +279,7 @@ IngestResult ingest_edp_files(std::span<const std::string> paths,
                     throw Error("EDP: cannot open for reading: " + paths[i]);
                 }
                 slots[i].file = digest_edp(
-                    is, profiling::EdpReadOptions{options.mode},
+                    is, profiling::EdpReadOptions{ParseMode::Tolerant},
                     options.aggregation.discard_warmup_epochs);
             } catch (...) {
                 slots[i].error = std::current_exception();
@@ -285,8 +287,7 @@ IngestResult ingest_edp_files(std::span<const std::string> paths,
         }
     });
 
-    // Merge in path order: diagnostics, drop decisions, and (in strict
-    // mode) the first failure - the lowest path index - are deterministic
+    // Merge in path order: diagnostics and drop decisions are deterministic
     // regardless of num_threads.
     DiagnosticLog parse_log;
     std::size_t dropped_files = 0;
@@ -295,9 +296,6 @@ IngestResult ingest_edp_files(std::span<const std::string> paths,
         const std::string& path = paths[i];
         Slot& slot = slots[i];
         if (slot.error) {
-            if (options.mode == profiling::ParseMode::Strict) {
-                std::rethrow_exception(slot.error);
-            }
             try {
                 std::rethrow_exception(slot.error);
             } catch (const Error& e) {

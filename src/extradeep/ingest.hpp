@@ -33,10 +33,6 @@ namespace extradeep {
 /// operates on surviving data only, exactly as required.
 
 struct IngestOptions {
-    /// Parse mode for EDP input. Tolerant (the default) skips corrupt
-    /// records with diagnostics; Strict makes ingest_edp_files throw on the
-    /// first malformed file instead.
-    profiling::ParseMode mode = profiling::ParseMode::Tolerant;
     aggregation::AggregationOptions aggregation;
     /// Primary execution parameter configurations are keyed/ordered by.
     std::string primary_parameter = "x1";
@@ -107,13 +103,12 @@ IngestResult ingest_runs(
     std::span<const std::vector<profiling::ProfiledRun>> configs,
     const IngestOptions& options = {});
 
-/// Streams every file (tolerantly by default), groups the runs by their full
-/// parameter map into configurations ordered by the primary parameter, and
-/// validates and aggregates them like ingest_runs. Unreadable or
-/// structurally broken files are dropped with Error diagnostics (in
-/// Tolerant mode; Strict mode throws —
-/// with num_threads > 1, the exception of the lowest path index, keeping
-/// error reporting deterministic across thread counts).
+/// Streams every file tolerantly, groups the runs by their full parameter
+/// map into configurations ordered by the primary parameter, and validates
+/// and aggregates them like ingest_runs. Unreadable or structurally broken
+/// files are dropped with Error diagnostics, merged in path order at any
+/// num_threads. (A caller that wants the first malformed file to throw
+/// reads it with read_edp_file.)
 IngestResult ingest_edp_files(std::span<const std::string> paths,
                               const IngestOptions& options = {});
 

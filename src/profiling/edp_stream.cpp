@@ -3,9 +3,12 @@
 #include <cfloat>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "trace/kernel.hpp"
@@ -27,32 +30,14 @@ NvtxMark::Kind parse_mark_kind(std::string_view s) {
 
 /// Read-path name guard: a name with an embedded tab/newline/carriage
 /// return can only come from a hand-edited file and would desynchronise the
-/// line-based format. The name is a field of a getline line split on tabs,
-/// so it cannot hold a tab or a newline by construction; only a carriage
-/// return needs a scan. The message names all three, like the write path's.
+/// line-based format. The name is a field of a line that ends at the first
+/// newline (memchr) and is split at every tab, so it cannot hold a tab or a
+/// newline by construction; only a carriage return needs a scan. The
+/// message names all three, like the write path's.
 void check_read_name(std::string_view name, const char* what) {
     if (name.find('\r') != std::string_view::npos) {
         throw ParseError(std::string("EDP: ") + what +
                          " contains tab/newline/carriage-return");
-    }
-}
-
-/// Splits on tabs into views of `line`, reusing the output vector's
-/// capacity across calls (this is the per-line hot path of the streaming
-/// reader). The views are valid until `line` changes.
-void split_tabs_into(const std::string& line,
-                     std::vector<std::string_view>& out) {
-    const std::string_view view(line);
-    out.clear();
-    std::size_t pos = 0;
-    while (true) {
-        const std::size_t tab = view.find('\t', pos);
-        if (tab == std::string_view::npos) {
-            out.push_back(view.substr(pos));
-            return;
-        }
-        out.push_back(view.substr(pos, tab - pos));
-        pos = tab + 1;
     }
 }
 
@@ -67,6 +52,35 @@ bool parse_double_fast(std::string_view s, double& out) {
     const std::from_chars_result r = std::from_chars(s.data(), last, out);
     return r.ec == std::errc() && r.ptr == last && std::isfinite(out) &&
            (out == 0.0 || std::abs(out) > DBL_MIN);
+}
+
+/// One number of an E line on the fast path, parsed from `p` without
+/// finding its field end first: std::from_chars stops at the end of the
+/// number, which must be a tab (`last_field` false; `p` then moves past it)
+/// or the end of the line, so the token is exactly the field the tab split
+/// gives. Accepts only what the split path accepts at once with the same
+/// value: a whole-token from_chars result that is not negative and, for a
+/// double, passes parse_double_fast's finite and DBL_MIN guard.
+template <typename T>
+bool parse_event_number_fast(const char*& p, const char* line_end,
+                             bool last_field, T& out) {
+    const std::from_chars_result r = std::from_chars(p, line_end, out);
+    if (r.ec != std::errc() || out < 0) {
+        return false;
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(out) || (out != 0.0 && std::abs(out) <= DBL_MIN)) {
+            return false;
+        }
+    }
+    if (last_field) {
+        return r.ptr == line_end;
+    }
+    if (r.ptr == line_end || *r.ptr != '\t') {
+        return false;
+    }
+    p = r.ptr + 1;
+    return true;
 }
 
 /// Number grammar: exactly std::stod's. parse_double_fast answers the
@@ -147,19 +161,96 @@ int parse_bounded_int(std::string_view s, const char* what, long long lo,
 
 EdpStreamReader::EdpStreamReader(std::istream& is,
                                  const EdpReadOptions& options)
-    : is_(is), mode_(options.mode), log_(options.max_diagnostics) {}
+    : is_(is),
+      mode_(options.mode),
+      log_(options.max_diagnostics),
+      buf_(kBlockBytes) {}
 
-/// getline + CRLF tolerance: a trailing carriage return (Windows-edited
-/// profile) is stripped so it cannot corrupt the last field of each line.
-bool EdpStreamReader::read_line() {
-    if (!std::getline(is_, line_)) {
+/// Appends the next block of the stream to the unconsumed bytes, first
+/// moving them (the partial last line) to the front of the buffer. A line
+/// that fills the whole buffer doubles it. Returns false at end of input.
+bool EdpStreamReader::refill() {
+    if (eof_) {
         return false;
     }
+    if (begin_ > 0) {
+        std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+        end_ -= begin_;
+        begin_ = 0;
+    }
+    if (end_ == buf_.size()) {
+        buf_.resize(2 * buf_.size());
+    }
+    std::streambuf* const sb = is_.good() ? is_.rdbuf() : nullptr;
+    const std::streamsize got =
+        sb == nullptr
+            ? 0
+            : sb->sgetn(buf_.data() + end_,
+                        static_cast<std::streamsize>(buf_.size() - end_));
+    if (got <= 0) {
+        eof_ = true;
+        is_.setstate(std::ios::eofbit);
+        return false;
+    }
+    end_ += static_cast<std::size_t>(got);
+    return true;
+}
+
+/// The lines are getline's: split at each newline, with a last line that
+/// has none kept if it is not empty. CRLF tolerance: a trailing carriage
+/// return (Windows-edited profile) is stripped so it cannot corrupt the
+/// last field of each line.
+bool EdpStreamReader::read_line() {
+    while (true) {
+        const char* const first = buf_.data() + begin_;
+        const std::size_t avail = end_ - begin_;
+        const void* const nl =
+            std::memchr(first + scanned_, '\n', avail - scanned_);
+        if (nl != nullptr) {
+            const auto len = static_cast<std::size_t>(
+                static_cast<const char*>(nl) - first);
+            line_ = std::string_view(first, len);
+            begin_ += len + 1;
+            break;
+        }
+        scanned_ = avail;
+        if (!refill()) {
+            if (begin_ == end_) {
+                return false;
+            }
+            line_ = std::string_view(buf_.data() + begin_, end_ - begin_);
+            begin_ = end_;
+            break;
+        }
+    }
+    scanned_ = 0;
     ++line_no_;
     if (!line_.empty() && line_.back() == '\r') {
-        line_.pop_back();
+        line_.remove_suffix(1);
     }
     return true;
+}
+
+/// Splits line_ at its tabs into fields_, in place.
+void EdpStreamReader::split_fields() {
+    const char* p = line_.data();
+    const char* const last = p + line_.size();
+    n_fields_ = 0;
+    while (true) {
+        const void* const tab =
+            n_fields_ == kMaxFields
+                ? nullptr
+                : std::memchr(p, '\t', static_cast<std::size_t>(last - p));
+        if (tab == nullptr) {
+            fields_[n_fields_++] =
+                std::string_view(p, static_cast<std::size_t>(last - p));
+            return;
+        }
+        const char* const t = static_cast<const char*>(tab);
+        fields_[n_fields_++] =
+            std::string_view(p, static_cast<std::size_t>(t - p));
+        p = t + 1;
+    }
 }
 
 void EdpStreamReader::flush_skipped() {
@@ -209,21 +300,57 @@ void EdpStreamReader::finish_after_end() {
     }
 }
 
+bool EdpStreamReader::parse_event_fast(EdpRecord& out) {
+    const char* p = line_.data() + 2;  // past "E\t"
+    const char* const line_end = line_.data() + line_.size();
+    const auto field = [&](std::string_view& f) {
+        const void* const tab =
+            std::memchr(p, '\t', static_cast<std::size_t>(line_end - p));
+        if (tab == nullptr) {
+            return false;
+        }
+        const char* const t = static_cast<const char*>(tab);
+        f = std::string_view(p, static_cast<std::size_t>(t - p));
+        p = t + 1;
+        return true;
+    };
+    std::string_view name;
+    std::string_view category;
+    if (!field(name) || name.find('\r') != std::string_view::npos ||
+        !field(category)) {
+        return false;
+    }
+    const std::optional<trace::KernelCategory> category_id =
+        trace::find_category(category);
+    EdpRecord::Event& e = out.event;
+    if (!category_id || !parse_event_number_fast(p, line_end, false, e.start) ||
+        !parse_event_number_fast(p, line_end, false, e.duration) ||
+        !parse_event_number_fast(p, line_end, false, e.visits) ||
+        !parse_event_number_fast(p, line_end, true, e.bytes)) {
+        return false;
+    }
+    e.category = *category_id;
+    out.name = name;
+    out.kind = EdpRecord::Kind::Event;
+    return true;
+}
+
 bool EdpStreamReader::process_fields(EdpRecord& out) {
     const std::string_view tag = fields_[0];
     const auto& f = fields_;
+    const std::size_t n = n_fields_;
     if (tag == "P") {
-        if (f.size() != 3) throw ParseError("EDP: malformed P line");
+        if (n != 3) throw ParseError("EDP: malformed P line");
         check_read_name(f[1], "param name");
         out.number = parse_double(f[2], "param value");
-        out.param_name.assign(f[1]);
+        out.name = f[1];
         out.kind = EdpRecord::Kind::Param;
     } else if (tag == "REP") {
-        if (f.size() != 2) throw ParseError("EDP: malformed REP line");
+        if (n != 2) throw ParseError("EDP: malformed REP line");
         out.index = parse_bounded_int(f[1], "repetition", 0);
         out.kind = EdpRecord::Kind::Repetition;
     } else if (tag == "WALL") {
-        if (f.size() != 2) throw ParseError("EDP: malformed WALL line");
+        if (n != 2) throw ParseError("EDP: malformed WALL line");
         out.number = parse_nonneg_double(f[1], "wall time");
         out.kind = EdpRecord::Kind::WallTime;
     } else if (tag == "RANK") {
@@ -231,7 +358,7 @@ bool EdpStreamReader::process_fields(EdpRecord& out) {
         // Any failure below quarantines the whole block in tolerant mode:
         // events of an undecodable or duplicated rank cannot be attributed.
         rank_usable_ = false;
-        if (f.size() != 2) throw ParseError("EDP: malformed RANK line");
+        if (n != 2) throw ParseError("EDP: malformed RANK line");
         const int rank = parse_bounded_int(f[1], "rank", 0);
         if (!seen_ranks_.insert(rank).second) {
             throw ParseError("EDP: duplicate RANK block for rank " +
@@ -249,7 +376,7 @@ bool EdpStreamReader::process_fields(EdpRecord& out) {
             }
             throw ParseError("EDP: mark before RANK");
         }
-        if (f.size() != 6) throw ParseError("EDP: malformed M line");
+        if (n != 6) throw ParseError("EDP: malformed M line");
         NvtxMark m;
         m.kind = parse_mark_kind(f[1]);
         m.epoch = parse_bounded_int(f[2], "epoch", 0);
@@ -273,7 +400,7 @@ bool EdpStreamReader::process_fields(EdpRecord& out) {
             }
             throw ParseError("EDP: event before RANK");
         }
-        if (f.size() != 7) throw ParseError("EDP: malformed E line");
+        if (n != 7) throw ParseError("EDP: malformed E line");
         check_read_name(f[1], "event name");
         out.event.category = trace::parse_category(f[2]);
         out.event.start = parse_nonneg_double(f[3], "event start");
@@ -283,10 +410,10 @@ bool EdpStreamReader::process_fields(EdpRecord& out) {
             throw ParseError("EDP: negative value for event visits");
         }
         out.event.bytes = parse_nonneg_double(f[6], "event bytes");
-        out.event.name.assign(f[1]);
+        out.name = f[1];
         out.kind = EdpRecord::Kind::Event;
     } else if (tag == "END") {
-        if (f.size() != 1) throw ParseError("EDP: malformed END line");
+        if (n != 1) throw ParseError("EDP: malformed END line");
         flush_skipped();
         saw_end_ = true;
         out.kind = EdpRecord::Kind::End;
@@ -311,8 +438,8 @@ bool EdpStreamReader::next(EdpRecord& out) {
             stage_ = Stage::Done;
             return false;
         }
-        split_tabs_into(line_, fields_);
-        if (fields_.size() != 2 || fields_[0] != "EDP") {
+        split_fields();
+        if (n_fields_ != 2 || fields_[0] != "EDP") {
             if (!tolerant) throw ParseError("EDP: missing header");
             log_.add(Severity::Error, "EDP: missing header", line_no_);
             // Best effort: the first line may itself be a record (e.g. the
@@ -339,7 +466,11 @@ bool EdpStreamReader::next(EdpRecord& out) {
             return false;
         }
         if (line_.empty()) continue;
-        split_tabs_into(line_, fields_);
+        if (rank_usable_ && line_.size() > 2 && line_[0] == 'E' &&
+            line_[1] == '\t' && parse_event_fast(out)) {
+            return true;
+        }
+        split_fields();
         bool emitted = false;
         if (!tolerant) {
             emitted = process_fields(out);

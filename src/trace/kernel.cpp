@@ -39,7 +39,7 @@ std::string_view category_name(KernelCategory category) {
     throw InvalidArgumentError("category_name: unknown category");
 }
 
-KernelCategory parse_category(std::string_view name) {
+std::optional<KernelCategory> find_category(std::string_view name) {
     if (name == "CUDA kernel") return KernelCategory::CudaKernel;
     if (name == "Memcpy") return KernelCategory::Memcpy;
     if (name == "Memset") return KernelCategory::Memset;
@@ -50,6 +50,13 @@ KernelCategory parse_category(std::string_view name) {
     if (name == "MPI") return KernelCategory::Mpi;
     if (name == "OS") return KernelCategory::Os;
     if (name == "NVTX function") return KernelCategory::NvtxFunction;
+    return std::nullopt;
+}
+
+KernelCategory parse_category(std::string_view name) {
+    if (const std::optional<KernelCategory> category = find_category(name)) {
+        return *category;
+    }
     throw ParseError("parse_category: unknown category name '" +
                      std::string(name) + "'");
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -49,6 +50,9 @@ std::string_view category_name(KernelCategory category);
 /// Parses the output of category_name back into the enum. Throws
 /// ParseError for unknown names (used by the EDP profile reader).
 KernelCategory parse_category(std::string_view name);
+
+/// parse_category without the throw: nullopt for unknown names.
+std::optional<KernelCategory> find_category(std::string_view name);
 
 /// Human-readable phase name ("computation", ...).
 std::string_view phase_name(Phase phase);

@@ -324,11 +324,6 @@ TEST(IngestFiles, ToleratesCorruptAndForeignFiles) {
     EXPECT_TRUE(result.diagnostics.has_errors());
     EXPECT_EQ(result.data.parameter_values(),
               (std::vector<double>{2.0, 4.0}));
-
-    // Strict mode refuses the same corpus instead of degrading.
-    IngestOptions strict;
-    strict.mode = profiling::ParseMode::Strict;
-    EXPECT_THROW(ingest_edp_files(paths, strict), Error);
 }
 
 TEST(IngestFiles, RepetitionsAreOrderedByIndexNotByPath) {

@@ -4,8 +4,8 @@
 // in this file from the library's own stages (read_edp_file in path order,
 // validate_experiment, aggregate_runs) — same aggregates down to the last
 // mantissa bit, same diagnostic sequence, same counts — on clean corpora,
-// on every fault-injection mutator at several seeds, in strict and tolerant
-// mode, at every thread count. Plus the memory-ceiling regression test:
+// on every fault-injection mutator at several seeds, at every thread
+// count. Plus the memory-ceiling regression test:
 // ingesting a corpus of hundreds of MB must not grow peak RSS by more than
 // a fixed budget.
 
@@ -222,17 +222,14 @@ IngestResult reference_ingest_runs(
     return result;
 }
 
-/// Materialising reference for ingest_edp_files: read_edp_file in path
-/// order (strict mode rethrows the first failure), path-scoped parse
-/// diagnostics, quarantine of broken files, grouping by parameter map with
-/// configurations ordered by x1 and repetitions by index, then
-/// reference_ingest_runs.
-IngestResult reference_ingest(const std::vector<std::string>& paths,
-                              ParseMode mode = ParseMode::Tolerant) {
-    IngestOptions options;
-    options.mode = mode;
+/// Materialising reference for ingest_edp_files: tolerant read_edp_file in
+/// path order, path-scoped parse diagnostics, quarantine of broken files,
+/// grouping by parameter map with configurations ordered by x1 and
+/// repetitions by index, then reference_ingest_runs.
+IngestResult reference_ingest(const std::vector<std::string>& paths) {
+    const IngestOptions options;
     profiling::EdpReadOptions read_options;
-    read_options.mode = mode;
+    read_options.mode = ParseMode::Tolerant;
 
     DiagnosticLog parse_log;
     std::size_t dropped_files = 0;
@@ -242,9 +239,6 @@ IngestResult reference_ingest(const std::vector<std::string>& paths,
         try {
             parsed = profiling::read_edp_file(path, read_options);
         } catch (const Error& e) {
-            if (mode == ParseMode::Strict) {
-                throw;
-            }
             parse_log.add(Severity::Error, path + ": " + e.what());
             ++dropped_files;
             continue;
@@ -296,10 +290,8 @@ IngestResult reference_ingest(const std::vector<std::string>& paths,
     return result;
 }
 
-IngestResult ingest(const std::vector<std::string>& paths, int threads = 1,
-                    ParseMode mode = ParseMode::Tolerant) {
+IngestResult ingest(const std::vector<std::string>& paths, int threads = 1) {
     IngestOptions options;
-    options.mode = mode;
     options.num_threads = threads;
     return ingest_edp_files(paths, options);
 }
@@ -361,44 +353,6 @@ TEST(StreamDifferential, StackedRandomMutations) {
                                      buf.str(), rng, 3));
         }
         expect_results_identical(reference_ingest(paths), ingest(paths));
-    }
-}
-
-TEST(StreamDifferential, StrictModeThrowsIdentically) {
-    // The first and the last file are corrupted. At more than one thread the
-    // last file may fail first; the error of the lowest path index must
-    // still win, exactly as in the sequential reference.
-    for (const auto& [name, mutate] : edpfuzz::mutators()) {
-        for (const std::uint64_t seed : {5u, 6u}) {
-            SCOPED_TRACE(name + " seed " + std::to_string(seed));
-            const TempDir dir;
-            auto paths = write_corpus(dir, seed);
-            Rng rng(seed * 31 + 7);
-            for (const std::size_t victim : {std::size_t{0}, paths.size() - 1}) {
-                std::ifstream in(paths[victim], std::ios::binary);
-                std::ostringstream buf;
-                buf << in.rdbuf();
-                in.close();
-                write_text(paths[victim], mutate(buf.str(), rng));
-            }
-
-            std::string reference_error = "(no throw)";
-            try {
-                reference_ingest(paths, ParseMode::Strict);
-            } catch (const Error& e) {
-                reference_error = e.what();
-            }
-            for (const int threads : {1, 2, 4}) {
-                std::string stream_error = "(no throw)";
-                try {
-                    ingest(paths, threads, ParseMode::Strict);
-                } catch (const Error& e) {
-                    stream_error = e.what();
-                }
-                EXPECT_EQ(reference_error, stream_error)
-                    << "threads " << threads;
-            }
-        }
     }
 }
 

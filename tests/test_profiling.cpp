@@ -1,11 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "fault_injection.hpp"
 #include "profiling/edp_io.hpp"
+#include "profiling/edp_stream.hpp"
 #include "profiling/profiler.hpp"
 #include "profiling/sampling.hpp"
 
@@ -410,6 +421,29 @@ TEST(EdpTolerant, MissingEndIsAnErrorButDataIsKept) {
     EXPECT_EQ(result.run.ranks[0].events.size(), 1u);
 }
 
+TEST(EdpTolerant, EventFieldCountIsCheckedBeforeItsNumbers) {
+    // Lines one field short or long, some of whose fields would still read
+    // as seven numbers-and-names if a number could end anywhere but at a
+    // tab: each is one "malformed E line" warning and no event.
+    const char* const bad_lines[] = {
+        "E\tk\tCUDA kernel\t1x2\t3\t0",        // "1x2" is not two fields
+        "E\tk\tCUDA kernel\t0 1\t1\t0",        // nor is "0 1"
+        "E\tk\tCUDA kernel\t0\t1\t1",          // bytes missing
+        "E\tk\tCUDA kernel\t0\t1\t1\t0\t9",    // one field too many
+        "E\tk\tCUDA kernel\t0\t1\t1\t0\t",     // empty eighth field
+    };
+    for (const char* bad : bad_lines) {
+        const EdpReadResult result =
+            tolerant_parse("EDP\t1\nRANK\t0\n" + std::string(bad) + "\nEND\n");
+        ASSERT_EQ(result.diagnostics.entries().size(), 1u) << bad;
+        EXPECT_EQ(result.diagnostics.entries()[0].reason,
+                  "EDP: malformed E line")
+            << bad;
+        ASSERT_EQ(result.run.ranks.size(), 1u) << bad;
+        EXPECT_TRUE(result.run.ranks[0].events.empty()) << bad;
+    }
+}
+
 TEST(EdpStrict, RejectsMalformedEndLine) {
     std::stringstream s("EDP\t1\nEND\textra\n");
     EXPECT_THROW(read_edp(s), ParseError);
@@ -427,4 +461,360 @@ TEST(EdpTolerant, OrphanRecordsBeforeAnyRankAreCounted) {
     EXPECT_TRUE(result.run.ranks[0].events.empty());
     EXPECT_EQ(result.diagnostics.count(Severity::Warning), 1u);
     EXPECT_EQ(result.diagnostics.count(Severity::Info), 1u);
+}
+
+namespace {
+
+/// The reader's strict exception text for the first problem a tolerant
+/// read reports. Two problems are worded differently by the two modes: an
+/// orphan record (strict names its tag) and trailing data (tolerant counts
+/// the lines).
+std::string strict_text(const Diagnostic& first, const std::string& text) {
+    const std::string orphan =
+        "EDP: event/mark record outside a usable RANK block";
+    if (first.reason == orphan) {
+        std::istringstream lines(text);
+        std::string line;
+        for (long long i = 0; i < first.line; ++i) {
+            std::getline(lines, line);
+        }
+        return line.rfind("E\t", 0) == 0 ? "EDP: event before RANK"
+                                         : "EDP: mark before RANK";
+    }
+    if (first.reason.rfind("EDP: ignored ", 0) == 0 &&
+        first.reason.find("trailing data after END") != std::string::npos) {
+        return "EDP: trailing data after END";
+    }
+    return first.reason;
+}
+
+std::string edp_text(const ProfiledRun& run) {
+    std::ostringstream os;
+    write_edp(os, run);
+    return os.str();
+}
+
+/// Strict read_edp_file throws the first problem a tolerant read of the
+/// same file reports, and throws nothing when the tolerant read is clean.
+void expect_strict_matches_tolerant(const std::string& text) {
+    const std::string path = ::testing::TempDir() + "/strict_vs_tolerant.edp";
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << text;
+    }
+    EdpReadOptions tolerant;
+    tolerant.mode = ParseMode::Tolerant;
+    const EdpReadResult parsed = read_edp_file(path, tolerant);
+    const std::string want =
+        parsed.diagnostics.entries().empty()
+            ? "(no throw)"
+            : strict_text(parsed.diagnostics.entries().front(), text);
+    std::string got = "(no throw)";
+    try {
+        read_edp_file(path);
+    } catch (const ParseError& e) {
+        got = e.what();
+    }
+    EXPECT_EQ(got, want);
+    std::remove(path.c_str());
+}
+
+}  // namespace
+
+TEST(EdpStrict, ThrowsTheFirstProblemTolerantModeReports) {
+    for (const auto& [name, mutate] : edpfuzz::mutators()) {
+        for (const std::uint64_t seed : {5u, 6u, 7u}) {
+            SCOPED_TRACE(name + " seed " + std::to_string(seed));
+            Rng rng(seed * 31 + 7);
+            const std::string clean = edp_text(
+                edpfuzz::coherent_run(rng, {{"x1", 4.0}}, 0, 2));
+            expect_strict_matches_tolerant(mutate(clean, rng));
+        }
+    }
+    for (const std::uint64_t seed : {10u, 20u, 30u}) {
+        SCOPED_TRACE("stacked seed " + std::to_string(seed));
+        Rng rng(seed);
+        const std::string clean =
+            edp_text(edpfuzz::coherent_run(rng, {{"x1", 2.0}}, 1, 3));
+        expect_strict_matches_tolerant(
+            edpfuzz::apply_random_mutations(clean, rng, 3));
+    }
+}
+
+TEST(EdpStrict, RejectsForeignFileThatTolerantModeQuarantines) {
+    const std::string path = ::testing::TempDir() + "/foreign.edp";
+    {
+        std::ofstream os(path);
+        os << "this is\nnot an EDP file\n";
+    }
+    EXPECT_THROW(read_edp_file(path), ParseError);
+    EdpReadOptions tolerant;
+    tolerant.mode = ParseMode::Tolerant;
+    EXPECT_FALSE(read_edp_file(path, tolerant).ok());
+    std::remove(path.c_str());
+}
+
+namespace {
+
+/// Hands out its bytes `piece` at a time, through underflow and through
+/// sgetn, so a reader pulling whole blocks gets a short read at every
+/// piece edge.
+class PieceBuf : public std::streambuf {
+public:
+    PieceBuf(std::string bytes, std::size_t piece)
+        : bytes_(std::move(bytes)), piece_(piece) {}
+
+protected:
+    int_type underflow() override {
+        if (gptr() < egptr()) {
+            return traits_type::to_int_type(*gptr());
+        }
+        if (pos_ == bytes_.size()) {
+            return traits_type::eof();
+        }
+        const std::size_t n = std::min(piece_, bytes_.size() - pos_);
+        char* const p = bytes_.data() + pos_;
+        setg(p, p, p + n);
+        pos_ += n;
+        return traits_type::to_int_type(*p);
+    }
+
+    std::streamsize xsgetn(char* s, std::streamsize n) override {
+        if (gptr() == egptr() &&
+            traits_type::eq_int_type(underflow(), traits_type::eof())) {
+            return 0;
+        }
+        const std::streamsize k =
+            std::min<std::streamsize>(n, egptr() - gptr());
+        std::memcpy(s, gptr(), static_cast<std::size_t>(k));
+        gbump(static_cast<int>(k));
+        return k;
+    }
+
+private:
+    std::string bytes_;
+    std::size_t piece_;
+    std::size_t pos_ = 0;
+};
+
+std::string bits(double v) {
+    return std::to_string(std::bit_cast<std::uint64_t>(v));
+}
+
+/// Everything the reader hands out, in order: each record with its doubles
+/// as bit patterns, the exception text in strict mode, the diagnostics
+/// (severity, line, rank, text) and saw_end().
+std::string transcript(std::istream& is, ParseMode mode) {
+    EdpReadOptions options;
+    options.mode = mode;
+    EdpStreamReader reader(is, options);
+    std::ostringstream os;
+    try {
+        EdpRecord rec;
+        while (reader.next(rec)) {
+            os << static_cast<int>(rec.kind);
+            switch (rec.kind) {
+                case EdpRecord::Kind::Param:
+                    os << ' ' << rec.name << ' ' << bits(rec.number);
+                    break;
+                case EdpRecord::Kind::WallTime:
+                    os << ' ' << bits(rec.number);
+                    break;
+                case EdpRecord::Kind::Repetition:
+                case EdpRecord::Kind::RankBegin:
+                    os << ' ' << rec.index;
+                    break;
+                case EdpRecord::Kind::Mark:
+                    os << ' ' << static_cast<int>(rec.mark.kind) << ' '
+                       << rec.mark.epoch << ' ' << rec.mark.step << ' '
+                       << static_cast<int>(rec.mark.step_kind) << ' '
+                       << bits(rec.mark.time);
+                    break;
+                case EdpRecord::Kind::Event:
+                    os << ' ' << rec.name << ' '
+                       << static_cast<int>(rec.event.category) << ' '
+                       << bits(rec.event.start) << ' '
+                       << bits(rec.event.duration) << ' '
+                       << bits(rec.event.bytes) << ' ' << rec.event.visits;
+                    break;
+                case EdpRecord::Kind::End:
+                    break;
+            }
+            os << '\n';
+        }
+    } catch (const ParseError& e) {
+        os << "throw " << e.what() << '\n';
+    }
+    for (const Diagnostic& d : reader.diagnostics().entries()) {
+        os << "diag " << static_cast<int>(d.severity) << ' ' << d.line << ' '
+           << d.rank << ' ' << d.reason << '\n';
+    }
+    os << "saw_end " << reader.saw_end() << '\n';
+    return os.str();
+}
+
+std::string transcript(const std::string& bytes, ParseMode mode) {
+    std::istringstream is(bytes);
+    return transcript(is, mode);
+}
+
+/// Reading `bytes` 1 byte at a time, or in prime-sized pieces smaller and
+/// larger than the reader's block, yields exactly the one-piece read.
+void expect_piece_invariant(const std::string& bytes) {
+    for (const ParseMode mode : {ParseMode::Tolerant, ParseMode::Strict}) {
+        const std::string whole = transcript(bytes, mode);
+        for (const std::size_t piece :
+             {std::size_t{1}, std::size_t{7}, std::size_t{4093},
+              std::size_t{65537}}) {
+            PieceBuf buf(bytes, piece);
+            std::istream is(&buf);
+            EXPECT_EQ(transcript(is, mode), whole)
+                << "piece " << piece << " mode " << static_cast<int>(mode);
+        }
+    }
+}
+
+std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+std::string golden_path(const std::string& name) {
+    return std::string(EXTRADEEP_TEST_DATA_DIR) + "/golden/" + name;
+}
+
+constexpr std::size_t kBlock = EdpStreamReader::kBlockBytes;
+
+const std::string kEventTail = "\tCUDA kernel\t0.5\t0.25\t3\t0";
+
+/// A clean single-rank profile whose event lines fill `events` bytes.
+std::string event_profile(const std::vector<std::string>& names,
+                          const std::string& eol = "\n") {
+    std::string text = "EDP\t1" + eol + "P\tx1\t4" + eol + "RANK\t0" + eol +
+                       "M\tepoch_start\t0\t-1\ttrain\t0" + eol;
+    for (const std::string& name : names) {
+        text += "E\t" + name + kEventTail + eol;
+    }
+    return text + "M\tepoch_end\t0\t-1\ttrain\t2" + eol + "END" + eol;
+}
+
+}  // namespace
+
+TEST(EdpChunks, PieceSizesDoNotChangeWhatIsRead) {
+    for (const char* name :
+         {"golden_x2_rep0.edp", "golden_x2_rep1.edp", "golden_x4_rep0.edp",
+          "golden_x4_rep1.edp", "golden_corrupt.edp"}) {
+        SCOPED_TRACE(name);
+        const std::string bytes = read_file(golden_path(name));
+        ASSERT_FALSE(bytes.empty());
+        expect_piece_invariant(bytes);
+    }
+    // Forty ranks make each clean corpus longer than one block.
+    for (const auto& [name, mutate] : edpfuzz::mutators()) {
+        for (const std::uint64_t seed : {1u, 2u}) {
+            SCOPED_TRACE(name + " seed " + std::to_string(seed));
+            Rng rng(seed * 977 + 13);
+            const std::string clean = edp_text(
+                edpfuzz::coherent_run(rng, {{"x1", 8.0}}, 0, 40));
+            ASSERT_GT(clean.size(), kBlock);
+            expect_piece_invariant(mutate(clean, rng));
+        }
+    }
+    for (const std::uint64_t seed : {10u, 20u}) {
+        SCOPED_TRACE("stacked seed " + std::to_string(seed));
+        Rng rng(seed);
+        const std::string clean =
+            edp_text(edpfuzz::coherent_run(rng, {{"x1", 8.0}}, 1, 40));
+        ASSERT_GT(clean.size(), kBlock);
+        expect_piece_invariant(edpfuzz::apply_random_mutations(clean, rng, 3));
+    }
+}
+
+TEST(EdpChunks, CrlfSplitAcrossBlockEdge) {
+    // Pad the last event's name so that its line's "\r\n" straddles the
+    // first block edge.
+    std::vector<std::string> names(1000, "gemm");
+    const std::size_t before =
+        event_profile(names, "\r\n").size() -
+        std::string("M\tepoch_end\t0\t-1\ttrain\t2\r\nEND\r\n").size();
+    const std::size_t bare = std::string("E\t" + kEventTail + "\r\n").size();
+    ASSERT_LT(before + bare, kBlock);
+    names.push_back(std::string(kBlock + 1 - before - bare, 'k'));
+    const std::string crlf = event_profile(names, "\r\n");
+    ASSERT_EQ(crlf[kBlock - 1], '\r');
+    ASSERT_EQ(crlf[kBlock], '\n');
+
+    const std::string lf = event_profile(names);
+    EXPECT_EQ(transcript(crlf, ParseMode::Tolerant),
+              transcript(lf, ParseMode::Tolerant));
+    std::istringstream is(crlf);
+    const ProfiledRun run = read_edp(is);
+    ASSERT_EQ(run.ranks.size(), 1u);
+    ASSERT_EQ(run.ranks[0].events.size(), names.size());
+    EXPECT_EQ(run.ranks[0].events.back().name, names.back());
+    expect_piece_invariant(crlf);
+}
+
+TEST(EdpChunks, LastLineWithoutNewline) {
+    const std::string text = event_profile({"gemm", "conv"});
+    ASSERT_EQ(text.back(), '\n');
+    const std::string cut = text.substr(0, text.size() - 1);
+    EXPECT_EQ(transcript(cut, ParseMode::Strict),
+              transcript(text, ParseMode::Strict));
+    EXPECT_NE(transcript(cut, ParseMode::Tolerant).find("saw_end 1"),
+              std::string::npos);
+    expect_piece_invariant(cut);
+}
+
+TEST(EdpChunks, LineLongerThanTheBlock) {
+    const std::string long_name(3 * kBlock + 5, 'n');
+    const std::string text = event_profile({"gemm", long_name, "conv"});
+    std::istringstream is(text);
+    const ProfiledRun run = read_edp(is);
+    ASSERT_EQ(run.ranks.size(), 1u);
+    ASSERT_EQ(run.ranks[0].events.size(), 3u);
+    EXPECT_EQ(run.ranks[0].events[1].name, long_name);
+    EXPECT_EQ(run.ranks[0].events[2].name, "conv");
+    expect_piece_invariant(text);
+}
+
+TEST(EdpChunks, EmptyInput) {
+    EXPECT_EQ(transcript("", ParseMode::Tolerant),
+              "diag 2 -1 -1 EDP: empty input\nsaw_end 0\n");
+    EXPECT_EQ(transcript("", ParseMode::Strict),
+              "throw EDP: empty input\nsaw_end 0\n");
+    expect_piece_invariant("");
+}
+
+TEST(EdpChunks, TrailingDataAfterEnd) {
+    // The trailing lines span more than one block after END.
+    std::string text = event_profile({"gemm"});
+    const long long end_line = 7;
+    const std::size_t trailing = kBlock / 2 + 11;
+    for (std::size_t i = 0; i < trailing; ++i) {
+        text += "x\n";
+    }
+    const std::string got = transcript(text, ParseMode::Tolerant);
+    EXPECT_NE(got.find("diag 1 " + std::to_string(end_line + trailing) +
+                       " -1 EDP: ignored " + std::to_string(trailing) +
+                       " line(s) of trailing data after END\n"),
+              std::string::npos)
+        << got;
+    EXPECT_NE(got.find("saw_end 1"), std::string::npos);
+    EXPECT_NE(transcript(text, ParseMode::Strict)
+                  .find("throw EDP: trailing data after END"),
+              std::string::npos);
+    expect_piece_invariant(text);
+}
+
+TEST(EdpChunks, HeaderlessFirstLine) {
+    const std::string text = event_profile({"gemm"}).substr(6);
+    ASSERT_EQ(text.rfind("P\tx1\t4\n", 0), 0u);
+    const std::string got = transcript(text, ParseMode::Tolerant);
+    EXPECT_EQ(got.rfind("0 x1 " + bits(4.0) + "\n", 0), 0u) << got;
+    EXPECT_NE(got.find("diag 2 1 -1 EDP: missing header\n"), std::string::npos)
+        << got;
+    expect_piece_invariant(text);
 }
