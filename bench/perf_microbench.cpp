@@ -225,7 +225,8 @@ serve::QueryEngine& bench_engine() {
 // iteration, answered by QueryEngine::execute (the daemon is a pure
 // transport over it, so this is the per-request serving cost minus the
 // network). ->Threads(1) vs ->Threads(4) shows how the registry's
-// shared-lock reads and the stats mutex scale under concurrent clients.
+// shared-lock reads and the per-kind atomic instruments scale under
+// concurrent clients on one hot model.
 void BM_ServeQuery(benchmark::State& state) {
     serve::QueryEngine& engine = bench_engine();
     static const std::vector<std::string> requests = {

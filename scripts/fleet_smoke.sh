@@ -11,7 +11,7 @@
 #   4. push a corrupt payload and check it is quarantined (err line, daemon
 #      stays up, quarantine counter moves)
 #   5. check the `metrics` exposition carries the fleet instruments and the
-#      per-shard registry gauges
+#      registry size gauge
 #   6. shut the daemon down via the protocol and check it exits cleanly
 #
 # Usage: fleet_smoke.sh /path/to/extradeep-fleet
@@ -126,7 +126,7 @@ if [[ "${before#*quarantined=}" == "${after#*quarantined=}" ]]; then
     exit 1
 fi
 
-echo "== metrics exposition: fleet instruments + registry shard gauges =="
+echo "== metrics exposition: fleet instruments + registry size gauge =="
 # The wire response is a single escaped line; expand \n back into lines.
 query metrics | sed -e 's/^ok //' -e 's/\\n/\n/g' > "${workdir}/metrics.out"
 for needle in \
@@ -143,10 +143,10 @@ for needle in \
         exit 1
     }
 done
-shards="$(grep -c '^extradeep_serve_registry_shard_entries{' \
+gauges="$(grep -c '^extradeep_serve_registry_models [0-9]' \
     "${workdir}/metrics.out" || true)"
-[[ "${shards}" -eq 16 ]] || {
-    echo "FAIL: expected 16 registry shard gauges, saw ${shards}"
+[[ "${gauges}" -eq 1 ]] || {
+    echo "FAIL: expected 1 registry size gauge, saw ${gauges}"
     exit 1
 }
 

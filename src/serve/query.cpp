@@ -404,16 +404,9 @@ QueryEngine::QueryEngine(std::shared_ptr<ModelRegistry> registry,
             "extradeep_serve_query_latency_us",
             obs::MetricsRegistry::default_latency_buckets_us(), "kind", kind);
     }
-    // Per-shard registry entry counts, refreshed by the `metrics` verb so
-    // fleet hot-swap growth and hash skew are visible in the exposition.
-    for (std::size_t s = 0; s < ModelRegistry::kShardCount; ++s) {
-        std::string label = std::to_string(s);
-        if (label.size() < 2) {
-            label.insert(label.begin(), '0');
-        }
-        shard_gauges_[s] = &metrics_.gauge(
-            "extradeep_serve_registry_shard_entries", "shard", label);
-    }
+    // Registry size, refreshed by the `metrics` verb so fleet hot-swap
+    // growth is visible in the exposition.
+    models_gauge_ = &metrics_.gauge("extradeep_serve_registry_models");
 }
 
 void QueryEngine::set_fleet_handler(std::shared_ptr<FleetHandler> handler) {
@@ -508,10 +501,7 @@ std::string QueryEngine::dispatch(const std::string& request,
         if (!args.empty()) {
             throw InvalidArgumentError("usage: metrics");
         }
-        const auto shard_sizes = registry_->shard_sizes();
-        for (std::size_t s = 0; s < ModelRegistry::kShardCount; ++s) {
-            shard_gauges_[s]->set(static_cast<double>(shard_sizes[s]));
-        }
+        models_gauge_->set(static_cast<double>(registry_->size()));
         if (fleet_) {
             fleet_->update_metrics();
         }
@@ -600,27 +590,27 @@ std::string QueryEngine::execute(const std::string& request) {
     const std::uint64_t us =
         end_ns >= start_ns ? (end_ns - start_ns) / 1000 : 0;
     const auto i = static_cast<std::size_t>(kind);
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        QueryCounters& c = counters_[i];
-        ++c.requests;
-        if (failed) {
-            ++c.errors;
-        }
-        c.total_latency_us += us;
-        c.max_latency_us = std::max(c.max_latency_us, us);
-    }
     request_counters_[i]->increment();
     if (failed) {
         error_counters_[i]->increment();
     }
     latency_histograms_[i]->observe(static_cast<double>(us));
+    std::uint64_t max = max_latency_us_[i].load();
+    while (us > max && !max_latency_us_[i].compare_exchange_weak(max, us)) {
+    }
     return response;
 }
 
 std::array<QueryCounters, kQueryKindCount> QueryEngine::counters() const {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return counters_;
+    std::array<QueryCounters, kQueryKindCount> out{};
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i].requests = request_counters_[i]->value();
+        out[i].errors = error_counters_[i]->value();
+        out[i].total_latency_us =
+            static_cast<std::uint64_t>(latency_histograms_[i]->sum());
+        out[i].max_latency_us = max_latency_us_[i].load();
+    }
+    return out;
 }
 
 }  // namespace extradeep::serve

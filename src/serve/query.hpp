@@ -1,9 +1,9 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -148,7 +148,12 @@ public:
     /// trailing newline). Thread-safe.
     std::string execute(const std::string& request);
 
-    /// Snapshot of the per-kind counters.
+    /// Per-kind counters, read from the instruments execute() updates:
+    /// requests and errors from the counters, total latency from the
+    /// latency histogram's sum (exact: integer microseconds summed as
+    /// doubles stay below 2^53), and the maximum from one atomic per kind.
+    /// Each field is read on its own; a request completing meanwhile may
+    /// show in one field and not yet in another.
     std::array<QueryCounters, kQueryKindCount> counters() const;
 
     /// The engine-local metrics registry behind the `metrics` verb:
@@ -171,9 +176,8 @@ private:
     std::array<obs::Counter*, kQueryKindCount> request_counters_{};
     std::array<obs::Counter*, kQueryKindCount> error_counters_{};
     std::array<obs::Histogram*, kQueryKindCount> latency_histograms_{};
-    std::array<obs::Gauge*, ModelRegistry::kShardCount> shard_gauges_{};
-    mutable std::mutex stats_mutex_;
-    std::array<QueryCounters, kQueryKindCount> counters_{};
+    std::array<std::atomic<std::uint64_t>, kQueryKindCount> max_latency_us_{};
+    obs::Gauge* models_gauge_ = nullptr;
 };
 
 }  // namespace extradeep::serve

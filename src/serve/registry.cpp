@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <functional>
 #include <mutex>
 
 #include "common/error.hpp"
@@ -35,10 +34,6 @@ std::vector<std::string> scan_edpm_files(const std::string& dir) {
 }
 
 }  // namespace
-
-std::size_t ModelRegistry::shard_index(const std::string& name) {
-    return std::hash<std::string>{}(name) % kShardCount;
-}
 
 RegistryLoadReport ModelRegistry::load_directory(const std::string& dir) {
     RegistryLoadReport report;
@@ -83,10 +78,6 @@ RegistryLoadReport ModelRegistry::load_directory(const std::string& dir) {
         }
     }
 
-    {
-        std::lock_guard<std::mutex> lock(dir_mutex_);
-        dir_ = dir;
-    }
     // Names claimed by files in this scan, first (lexicographic) file wins.
     std::map<std::string, const Parsed*> by_name;
     for (const auto& p : parsed) {
@@ -110,47 +101,29 @@ RegistryLoadReport ModelRegistry::load_directory(const std::string& dir) {
         }
     }
 
-    // Apply shard by shard, in index order, exclusive lock per shard. Each
-    // shard's update is atomic for its names (keep-last-good included); the
-    // pass as a whole is eventually consistent across shards, which is the
-    // documented reload contract.
-    for (std::size_t s = 0; s < kShardCount; ++s) {
-        Shard& shard = shards_[s];
-        std::unique_lock lock(shard.mutex);
-        // Remove file-backed entries under this directory whose file
-        // vanished or no longer parses to the same name. Corrupt files keep
-        // their old entry.
-        for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-            const Entry& e = it->second;
-            const bool file_backed = !e.path.empty();
-            const bool under_dir =
-                file_backed &&
-                fs::path(e.path).parent_path() == fs::path(dir);
-            if (!file_backed || !under_dir) {
-                ++it;
-                continue;
-            }
-            const bool still_claimed = by_name.count(it->first) != 0;
-            const bool file_quarantined =
-                std::find(quarantined_paths.begin(), quarantined_paths.end(),
-                          e.path) != quarantined_paths.end();
-            if (still_claimed || file_quarantined) {
-                ++it;  // replaced below, or kept as the last good version
-                continue;
-            }
-            report.diagnostics.add(Severity::Info,
-                                   "removed '" + it->first +
-                                       "' (file gone: " + e.path + ")");
-            ++report.removed;
-            it = shard.entries.erase(it);
+    // Apply the whole pass under one exclusive lock, so a reader sees the
+    // registry either before or after it. Remove entries loaded from this
+    // directory whose file vanished or no longer parses to the same name;
+    // corrupt files keep their old entry.
+    std::unique_lock lock(mutex_);
+    dir_ = dir;
+    for (auto it = entries_.begin(); it != entries_.end();) {
+        const Entry& e = it->second;
+        if (e.dir != dir || by_name.count(it->first) != 0 ||
+            std::find(quarantined_paths.begin(), quarantined_paths.end(),
+                      e.path) != quarantined_paths.end()) {
+            ++it;  // not ours, replaced below, or kept as the last good one
+            continue;
         }
-        for (const auto& [name, p] : by_name) {
-            if (shard_index(name) != s) {
-                continue;
-            }
-            shard.entries[name] = Entry{p->model, p->path};
-            ++report.loaded;
-        }
+        report.diagnostics.add(Severity::Info,
+                               "removed '" + it->first +
+                                   "' (file gone: " + e.path + ")");
+        ++report.removed;
+        it = entries_.erase(it);
+    }
+    for (const auto& [name, p] : by_name) {
+        entries_[name] = Entry{p->model, p->path, dir};
+        ++report.loaded;
     }
     return report;
 }
@@ -158,7 +131,7 @@ RegistryLoadReport ModelRegistry::load_directory(const std::string& dir) {
 RegistryLoadReport ModelRegistry::reload() {
     std::string dir;
     {
-        std::lock_guard<std::mutex> lock(dir_mutex_);
+        std::shared_lock lock(mutex_);
         dir = dir_;
     }
     if (dir.empty()) {
@@ -172,51 +145,33 @@ void ModelRegistry::add(std::shared_ptr<const ServableModel> model) {
         throw InvalidArgumentError("ModelRegistry: null model");
     }
     // Read the key before the move: in `m[k] = v` the RHS is sequenced
-    // first, so `entries[model->name] = {std::move(model), ...}` would
+    // first, so `entries_[model->name] = {std::move(model), ...}` would
     // dereference an already-moved-from pointer.
     const std::string name = model->name;
-    Shard& shard = shards_[shard_index(name)];
-    std::unique_lock lock(shard.mutex);
-    shard.entries[name] = Entry{std::move(model), std::string()};
+    std::unique_lock lock(mutex_);
+    entries_[name] = Entry{std::move(model), std::string(), std::string()};
 }
 
 std::shared_ptr<const ServableModel> ModelRegistry::find(
     const std::string& name) const {
-    const Shard& shard = shards_[shard_index(name)];
-    std::shared_lock lock(shard.mutex);
-    const auto it = shard.entries.find(name);
-    return it == shard.entries.end() ? nullptr : it->second.model;
+    std::shared_lock lock(mutex_);
+    const auto it = entries_.find(name);
+    return it == entries_.end() ? nullptr : it->second.model;
 }
 
 std::vector<std::string> ModelRegistry::names() const {
     std::vector<std::string> out;
-    for (const Shard& shard : shards_) {
-        std::shared_lock lock(shard.mutex);
-        for (const auto& [name, entry] : shard.entries) {
-            out.push_back(name);
-        }
+    std::shared_lock lock(mutex_);
+    out.reserve(entries_.size());
+    for (const auto& [name, entry] : entries_) {
+        out.push_back(name);
     }
-    std::sort(out.begin(), out.end());
     return out;
 }
 
 std::size_t ModelRegistry::size() const {
-    std::size_t total = 0;
-    for (const Shard& shard : shards_) {
-        std::shared_lock lock(shard.mutex);
-        total += shard.entries.size();
-    }
-    return total;
-}
-
-std::array<std::size_t, ModelRegistry::kShardCount> ModelRegistry::shard_sizes()
-    const {
-    std::array<std::size_t, kShardCount> sizes{};
-    for (std::size_t i = 0; i < kShardCount; ++i) {
-        std::shared_lock lock(shards_[i].mutex);
-        sizes[i] = shards_[i].entries.size();
-    }
-    return sizes;
+    std::shared_lock lock(mutex_);
+    return entries_.size();
 }
 
 }  // namespace extradeep::serve

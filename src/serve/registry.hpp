@@ -1,10 +1,8 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -21,31 +19,25 @@ struct RegistryLoadReport {
     DiagnosticLog diagnostics;
 };
 
-/// Thread-safe in-memory store of servable models, keyed by model name and
-/// sharded by name hash so concurrent readers of different models never
-/// contend on one lock (the serve plane's lookup path).
+/// Thread-safe in-memory store of servable models, keyed by model name (the
+/// serve plane's lookup path).
 ///
 /// Concurrency contract:
-///  - The store is split into kShardCount shards (hash(name) % kShardCount),
-///    each with its own shared_mutex and name→entry map. Every single-name
-///    operation (find/add) touches exactly one shard.
-///  - Readers (find/names/size) take shared locks and return
+///  - One shared_mutex guards one name→entry map and the remembered
+///    directory.
+///  - Readers (find/names/size) take the shared lock and return
 ///    shared_ptr<const ServableModel> values; a model handed out stays valid
 ///    for as long as the caller holds the pointer, even across a reload that
 ///    replaces or removes the entry. Loaded models are immutable.
-///  - load_directory/reload take exclusive locks only for the final
-///    per-shard swaps; parsing happens outside all locks, so serving is
-///    never blocked on disk I/O. Shards are updated one at a time in index
-///    order: each shard atomically keeps hot-reload and keep-last-good
-///    semantics for its names, while a reader racing the reload may observe
-///    some shards pre- and some post-reload (each individually consistent).
+///  - load_directory/reload parse every file outside the lock, so serving is
+///    never blocked on disk I/O, then apply the whole pass under one
+///    exclusive lock: a reload is atomic across all names, so a reader sees
+///    either the registry before it or the registry after it.
 ///  - Corrupt files are quarantined, never dropped silently: the load report
 ///    carries their diagnostics, and a corrupt *re*load of an existing entry
 ///    keeps the previous good model (a bad deploy cannot take down serving).
 class ModelRegistry {
 public:
-    static constexpr std::size_t kShardCount = 16;
-
     ModelRegistry() = default;
 
     /// Scans `dir` for *.edpm files (lexicographic order, tolerant parse)
@@ -58,45 +50,34 @@ public:
 
     /// Re-scans the directory of the last load_directory call: new files are
     /// added, changed files replace their entry, corrupt files keep the
-    /// previous entry (quarantined), and entries whose file disappeared are
-    /// removed. Programmatic entries (add()) are never touched. Throws Error
-    /// if load_directory has not been called or the directory is unreadable.
+    /// previous entry (quarantined), and entries loaded from that directory
+    /// string whose file disappeared are removed. Programmatic entries
+    /// (add()) are never touched. Throws Error if load_directory has not been
+    /// called or the directory is unreadable.
     RegistryLoadReport reload();
 
     /// Inserts a model programmatically (no backing file). Replaces any
     /// existing entry with the same name.
     void add(std::shared_ptr<const ServableModel> model);
 
-    /// Looks a model up by name; nullptr if absent. Locks only the name's
-    /// shard, shared.
+    /// Looks a model up by name; nullptr if absent.
     std::shared_ptr<const ServableModel> find(const std::string& name) const;
 
-    /// All model names, sorted (merged across shards).
+    /// All model names, sorted.
     std::vector<std::string> names() const;
 
     std::size_t size() const;
-
-    /// Entry count of every shard, in shard-index order. The serve metrics
-    /// exposition publishes these as per-shard gauges so a skewed name hash
-    /// (all hot models contending on one shard lock) is visible at runtime.
-    std::array<std::size_t, kShardCount> shard_sizes() const;
 
 private:
     struct Entry {
         std::shared_ptr<const ServableModel> model;
         std::string path;  ///< backing file, empty for programmatic entries
+        std::string dir;   ///< load_directory argument, empty likewise
     };
 
-    struct Shard {
-        mutable std::shared_mutex mutex;
-        std::map<std::string, Entry> entries;
-    };
-
-    static std::size_t shard_index(const std::string& name);
-
-    std::array<Shard, kShardCount> shards_;
-    mutable std::mutex dir_mutex_;  ///< guards dir_ only
-    std::string dir_;
+    mutable std::shared_mutex mutex_;
+    std::map<std::string, Entry> entries_;
+    std::string dir_;  ///< last load_directory argument
 };
 
 }  // namespace extradeep::serve

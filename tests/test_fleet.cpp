@@ -13,7 +13,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -685,22 +684,17 @@ TEST(FleetEngine, MetricsExposition) {
         EXPECT_NE(text.find(needle), std::string::npos) << needle;
     }
 
-    // One gauge per registry shard, every shard present.
-    std::size_t shard_lines = 0;
+    // One registry gauge sample line, refreshed by the verb to the registry
+    // size (1: the fitted "demo" model).
+    std::size_t gauge_lines = 0;
     std::size_t pos = 0;
-    const std::string prefix = "extradeep_serve_registry_shard_entries{";
+    const std::string prefix = "\nextradeep_serve_registry_models ";
     while ((pos = text.find(prefix, pos)) != std::string::npos) {
-        ++shard_lines;
+        ++gauge_lines;
         pos += prefix.size();
     }
-    EXPECT_EQ(shard_lines, 16u);
-
-    // The shard gauges are refreshed by the verb and sum to the registry
-    // size (1: the fitted "demo" model).
-    const auto sizes = fx.registry->shard_sizes();
-    EXPECT_EQ(sizes.size(), 16u);
-    EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), std::size_t{0}),
-              fx.registry->size());
-    EXPECT_NE(text.find("extradeep_serve_registry_shard_entries"),
+    EXPECT_EQ(gauge_lines, 1u);
+    EXPECT_NE(text.find(prefix + std::to_string(fx.registry->size()) + "\n"),
               std::string::npos);
+    EXPECT_EQ(fx.registry->size(), 1u);
 }

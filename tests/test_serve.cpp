@@ -283,6 +283,24 @@ TEST(ModelRegistry, ReloadPicksUpNewAndRemovedFiles) {
     EXPECT_NE(registry.find("model-b"), nullptr);
 }
 
+TEST(ModelRegistry, ReloadRemovesVanishedFileUnderTrailingSlashDir) {
+    // `--models DIR/` names the same directory as `--models DIR`: a file
+    // deleted from it must still take its entry with it on reload.
+    const fs::path dir = fresh_dir("trailing-slash");
+    serve::write_edpm_file((dir / "a.edpm").string(), test_model("model-a"));
+    serve::write_edpm_file((dir / "b.edpm").string(), test_model("model-b"));
+    serve::ModelRegistry registry;
+    registry.load_directory(dir.string() + "/");
+    EXPECT_EQ(registry.size(), 2u);
+
+    fs::remove(dir / "a.edpm");
+    const auto report = registry.reload();
+    EXPECT_EQ(report.removed, 1);
+    EXPECT_EQ(registry.find("model-a"), nullptr);
+    EXPECT_NE(registry.find("model-b"), nullptr);
+    EXPECT_EQ(registry.size(), 1u);
+}
+
 TEST(ModelRegistry, CorruptReloadKeepsPreviousGoodModel) {
     const fs::path dir = fresh_dir("corrupt-reload");
     serve::write_edpm_file((dir / "a.edpm").string(), test_model("model-a"));
@@ -421,6 +439,39 @@ TEST(QueryEngine, CountsRequestsLatencyAndErrors) {
     const std::string stats = engine->execute("stats");
     EXPECT_EQ(stats.substr(0, 3), "ok ");
     EXPECT_NE(stats.find("predict=2:1:"), std::string::npos) << stats;
+}
+
+TEST(QueryEngine, StatsFieldsEqualCounters) {
+    // One tally per request: the `stats` line and counters() read the same
+    // instruments. Every request takes exactly 2 us on the fake clock (two
+    // readings 2500 ns apart), so the totals are known too.
+    const obs::FakeClock clock(0, 2500);
+    auto registry = std::make_shared<serve::ModelRegistry>();
+    registry->add(std::make_shared<const serve::ServableModel>(test_model()));
+    serve::QueryEngine engine(registry, &clock);
+    for (const char* request :
+         {"predict cifar10-weak 16", "predict nosuch 16", "bogus",
+          "predict cifar10-weak 8", "ping", "ping"}) {
+        engine.execute(request);
+    }
+    const auto counters = engine.counters();
+    const std::string stats = engine.execute("stats");
+    ASSERT_EQ(stats.substr(0, 3), "ok ");
+    for (int k = 0; k < serve::kQueryKindCount; ++k) {
+        const auto& c = counters[static_cast<std::size_t>(k)];
+        const std::string fields =
+            ' ' + std::string(serve::query_kind_name(
+                      static_cast<serve::QueryKind>(k))) +
+            '=' + std::to_string(c.requests) + ':' +
+            std::to_string(c.errors) + ':' +
+            std::to_string(c.total_latency_us) + ':' +
+            std::to_string(c.max_latency_us) + ':';
+        EXPECT_NE(stats.find(fields), std::string::npos) << fields << stats;
+    }
+    EXPECT_NE(stats.find(" predict=3:1:6:2:"), std::string::npos) << stats;
+    EXPECT_NE(stats.find(" other=1:1:2:2:"), std::string::npos) << stats;
+    EXPECT_NE(stats.find(" ping=2:0:4:2:"), std::string::npos) << stats;
+    EXPECT_NE(stats.find(" stats=0:0:0:0:"), std::string::npos) << stats;
 }
 
 TEST(QueryEngine, ReloadRequestRefreshesTheRegistry) {
@@ -912,7 +963,7 @@ TEST(QueryEngine, CheapRequestsAreTheFourClosedFormVerbs) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry sharding
+// Registry concurrency
 // ---------------------------------------------------------------------------
 
 TEST(ModelRegistry, NamesAreSortedAcrossShards) {
@@ -931,8 +982,8 @@ TEST(ModelRegistry, NamesAreSortedAcrossShards) {
 
 TEST(ModelRegistry, ConcurrentReadersDuringReloadAlwaysFindModels) {
     // Readers racing hot reloads must never observe a missing or null model:
-    // each shard swaps atomically and keep-last-good holds per shard.
-    const fs::path dir = fresh_dir("shard-race");
+    // a reload swaps under one exclusive lock and keeps the last good model.
+    const fs::path dir = fresh_dir("reload-race");
     std::vector<std::string> names;
     for (int i = 0; i < 8; ++i) {
         const std::string name = "race-" + std::to_string(i);
@@ -972,6 +1023,61 @@ TEST(ModelRegistry, ConcurrentReadersDuringReloadAlwaysFindModels) {
     }
     EXPECT_EQ(misses.load(), 0);
     EXPECT_EQ(registry.size(), names.size() + 20u);
+}
+
+TEST(ModelRegistry, ReloadIsAtomicAcrossNames) {
+    // The directory alternates between two disjoint 8-name sets; a reader
+    // racing the reloads sees exactly one of them, never a mix.
+    const fs::path stage = fresh_dir("atomic-stage");
+    const fs::path dir = fresh_dir("atomic");
+    std::vector<std::string> set_a;
+    std::vector<std::string> set_b;
+    for (int i = 0; i < 8; ++i) {
+        set_a.push_back("a-" + std::to_string(i));
+        set_b.push_back("b-" + std::to_string(i));
+    }
+    for (const auto* set : {&set_a, &set_b}) {
+        for (const auto& name : *set) {
+            serve::write_edpm_file((stage / (name + ".edpm")).string(),
+                                   test_model(name));
+        }
+    }
+    const auto deploy = [&](const std::vector<std::string>& set) {
+        for (const auto& entry : fs::directory_iterator(dir)) {
+            fs::remove(entry.path());
+        }
+        for (const auto& name : set) {
+            fs::copy_file(stage / (name + ".edpm"), dir / (name + ".edpm"));
+        }
+    };
+    deploy(set_a);
+    serve::ModelRegistry registry;
+    registry.load_directory(dir.string());
+    ASSERT_EQ(registry.names(), set_a);
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> mixed{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+        readers.emplace_back([&] {
+            while (!stop.load()) {
+                const auto all = registry.names();
+                if (all != set_a && all != set_b) {
+                    mixed.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (int round = 0; round < 200; ++round) {
+        deploy(round % 2 == 0 ? set_b : set_a);
+        registry.reload();
+    }
+    stop.store(true);
+    for (auto& t : readers) {
+        t.join();
+    }
+    EXPECT_EQ(mixed.load(), 0);
+    EXPECT_EQ(registry.names(), set_a);
 }
 
 }  // namespace
