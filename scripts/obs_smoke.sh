@@ -6,7 +6,7 @@
 #   1. fit a small experiment with --trace chrome:,text:,metrics:,edp:
 #   2. validate the Chrome trace with `extradeep-eval --validate-json`
 #   3. validate the self-profile run with `extradeep-eval --validate-edp`
-#      (strict parse through the same reader the ingestion pipeline uses)
+#      (throwing parse through the same reader the ingestion pipeline uses)
 #   4. grep the text summary for the expected pipeline spans
 #   5. grep the metrics exposition for the fit counters
 #   6. check the EXTRADEEP_TRACE environment path on offline ask mode
@@ -40,7 +40,7 @@ grep -q '"ph":"X"' "${workdir}/trace.json" || {
     echo "FAIL: trace.json has no complete events"; exit 1
 }
 
-echo "== validate self-profile EDP (strict parse) =="
+echo "== validate self-profile EDP (throwing parse) =="
 "${eval_bin}" --validate-edp "${workdir}/self.edp" | tee "${workdir}/edp.out"
 grep -q 'x1=2' "${workdir}/edp.out" || {
     echo "FAIL: self-profile missing the param:x1=2 execution parameter"; exit 1

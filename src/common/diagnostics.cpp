@@ -51,11 +51,14 @@ void DiagnosticLog::add(Diagnostic d) {
     }
 }
 
-void DiagnosticLog::merge(const DiagnosticLog& other) {
+void DiagnosticLog::merge(const DiagnosticLog& other,
+                          std::string_view scope) {
     for (const auto& d : other.entries_) {
-        if (entries_.size() < capacity_) {
-            entries_.push_back(d);
+        if (entries_.size() == capacity_) {
+            break;
         }
+        entries_.push_back(d);
+        entries_.back().reason.insert(0, scope);
     }
     total_ += other.total_;
     for (int i = 0; i < 3; ++i) {

@@ -23,21 +23,10 @@ enum class Severity {
 
 std::string_view severity_name(Severity severity);
 
-/// How a reader of a versioned on-disk format (EDP profiles, .edpm models)
-/// reacts to malformed input. Shared by every strict/tolerant load path so
-/// the error-handling contract is uniform across formats (DESIGN.md §8).
-enum class ParseMode {
-    /// Throw ParseError on the first problem (the historical behaviour).
-    Strict,
-    /// Never throw on malformed *content*: skip or quarantine what cannot be
-    /// decoded and report everything as Diagnostics. On clean input the
-    /// result is identical to Strict mode.
-    Tolerant,
-};
-
-/// One structured problem report from the tolerant EDP parser or the
-/// run/experiment validation pass. Collecting these instead of throwing is
-/// what lets the pipeline degrade gracefully on partially corrupt profiles.
+/// One structured problem report from a reader of a versioned on-disk
+/// format (EDP profiles, .edpm models) or the run/experiment validation
+/// pass. Collecting these instead of throwing is what lets the pipeline
+/// degrade gracefully on partially corrupt profiles (DESIGN.md §8).
 struct Diagnostic {
     Severity severity = Severity::Warning;
     long long line = -1;  ///< 1-based input line number, -1 if not line-scoped
@@ -62,9 +51,10 @@ public:
              int rank = -1);
     void add(Diagnostic d);
 
-    /// Appends every entry of `other` (subject to this log's cap) and adds
-    /// its overflow counts.
-    void merge(const DiagnosticLog& other);
+    /// Appends every entry of `other` (subject to this log's cap), each
+    /// reason prefixed with `scope`, and adds all of its counts, including
+    /// those of entries `other` dropped at its own cap.
+    void merge(const DiagnosticLog& other, std::string_view scope = {});
 
     const std::vector<Diagnostic>& entries() const { return entries_; }
     bool empty() const { return total_ == 0; }

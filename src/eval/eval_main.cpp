@@ -57,8 +57,9 @@ int validate_json_file(const std::string& path) {
     return 0;
 }
 
-/// CI helper: strict-parse FILE as an EDP profile (the self-profiling
-/// round-trip check). Exit 0 iff it reads back cleanly.
+/// CI helper: parse FILE as an EDP profile with the throwing reader (the
+/// self-profiling round-trip check). Exit 0 iff it reads back with no
+/// diagnostic.
 int validate_edp_file(const std::string& path) {
     const profiling::ProfiledRun run = profiling::read_edp_file(path);
     std::size_t events = 0;

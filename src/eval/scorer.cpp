@@ -107,14 +107,12 @@ RecoveredData recover_single_param(const OracleCase& oracle,
 /// directly - the same stages ingest_runs drives.
 RecoveredData recover_multi_param(const OracleCase& oracle,
                                   const std::vector<std::string>& paths) {
-    profiling::EdpReadOptions read_options;
-    read_options.mode = profiling::ParseMode::Tolerant;
     std::map<std::map<std::string, double>,
              std::vector<profiling::ProfiledRun>>
         groups;
     for (const auto& path : paths) {
         profiling::EdpReadResult parsed =
-            profiling::read_edp_file(path, read_options);
+            profiling::read_edp_file(path, profiling::EdpReadOptions{});
         if (!parsed.ok()) {
             throw Error("score_case(" + oracle.name + "): " + path +
                         " quarantined (" + parsed.diagnostics.summary() + ")");

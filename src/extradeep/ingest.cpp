@@ -278,9 +278,9 @@ IngestResult ingest_edp_files(std::span<const std::string> paths,
                 if (!is) {
                     throw Error("EDP: cannot open for reading: " + paths[i]);
                 }
-                slots[i].file = digest_edp(
-                    is, profiling::EdpReadOptions{ParseMode::Tolerant},
-                    options.aggregation.discard_warmup_epochs);
+                slots[i].file =
+                    digest_edp(is, profiling::EdpReadOptions{},
+                               options.aggregation.discard_warmup_epochs);
             } catch (...) {
                 slots[i].error = std::current_exception();
             }
@@ -304,11 +304,7 @@ IngestResult ingest_edp_files(std::span<const std::string> paths,
                 continue;
             }
         }
-        for (const auto& d : slot.file.parse_log.entries()) {
-            Diagnostic scoped = d;
-            scoped.reason = path + ": " + d.reason;
-            parse_log.add(std::move(scoped));
-        }
+        parse_log.merge(slot.file.parse_log, path + ": ");
         if (!slot.file.ok) {
             parse_log.add(Severity::Error,
                           path + ": file quarantined (" +

@@ -88,7 +88,8 @@ struct EdpDigest {
 /// event names are interned to kernel ids. Both ingest_edp_files (on a
 /// file) and the fleet's `ingest` verb (on a pushed payload) reduce
 /// through it, so a run yields the same verdict, reasons and bits on
-/// either path. Throws like read_edp in strict mode.
+/// either path. Never throws on malformed content; parse problems land in
+/// parse_log.
 EdpDigest digest_edp(std::istream& is,
                      const profiling::EdpReadOptions& read_options,
                      int discard_warmup_epochs);

@@ -107,9 +107,9 @@ std::string FleetService::ingest_run(const std::string& experiment,
     // O(kernels) survives.
     EdpDigest digest;
     try {
-        digest = digest_edp(
-            edp, profiling::EdpReadOptions{ParseMode::Tolerant, 64},
-            options_.spec.sampling.discard_warmup_epochs);
+        digest = digest_edp(edp,
+                            profiling::EdpReadOptions{.max_diagnostics = 64},
+                            options_.spec.sampling.discard_warmup_epochs);
     } catch (const Error& e) {
         quarantine(source + ": " + e.what());
     }

@@ -32,14 +32,16 @@ void check_name(const std::string& name) {
     }
 }
 
+}  // namespace
+
 /// The materialising read path is a fold over the streaming reader: every
 /// record is appended to a ProfiledRun, its name copied out of the reader's
 /// buffer. The reader is the single implementation of the EDP grammar and
-/// the strict/tolerant diagnostic contract, so the streaming ingestion path
-/// (which consumes the same records without materialising) is equivalent
-/// by construction — every parser/fault-injection test exercising this
+/// the diagnostic contract, so the streaming ingestion path (which
+/// consumes the same records without materialising) is equivalent by
+/// construction — every parser/fault-injection test exercising this
 /// function validates the reader too. See DESIGN.md §13.
-EdpReadResult read_edp_impl(std::istream& is, const EdpReadOptions& options) {
+EdpReadResult read_edp(std::istream& is, const EdpReadOptions& options) {
     EdpStreamReader reader(is, options);
     EdpReadResult out;
     EdpRecord rec;
@@ -80,8 +82,6 @@ EdpReadResult read_edp_impl(std::istream& is, const EdpReadOptions& options) {
     return out;
 }
 
-}  // namespace
-
 void write_edp(std::ostream& os, const ProfiledRun& run) {
     // Every double is rendered with the shortest decimal that parses back to
     // the identical bit pattern (fmt::shortest). The historical fixed
@@ -116,13 +116,11 @@ void write_edp(std::ostream& os, const ProfiledRun& run) {
 }
 
 ProfiledRun read_edp(std::istream& is) {
-    EdpReadOptions options;
-    options.mode = ParseMode::Strict;
-    return read_edp_impl(is, options).run;
-}
-
-EdpReadResult read_edp(std::istream& is, const EdpReadOptions& options) {
-    return read_edp_impl(is, options);
+    EdpReadResult result = read_edp(is, EdpReadOptions{});
+    if (!result.diagnostics.empty()) {
+        throw ParseError(result.diagnostics.entries().front().reason);
+    }
+    return std::move(result.run);
 }
 
 void write_edp_file(const std::string& path, const ProfiledRun& run) {
@@ -147,7 +145,7 @@ EdpReadResult read_edp_file(const std::string& path,
     if (!is) {
         throw Error("EDP: cannot open for reading: " + path);
     }
-    return read_edp_impl(is, options);
+    return read_edp(is, options);
 }
 
 }  // namespace extradeep::profiling

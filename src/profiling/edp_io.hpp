@@ -33,19 +33,18 @@ namespace extradeep::profiling {
 /// (times, durations, byte counts, visits, rank and repetition indices)
 /// must be >= 0. Nothing downstream of read_edp ever sees a non-finite
 /// metric.
-
-/// How read_edp reacts to malformed input. See DESIGN.md, "EDP
-/// error-handling contract". The enum itself lives in common/diagnostics so
-/// every versioned format (EDP profiles, .edpm models) shares one contract.
-using ParseMode = ::extradeep::ParseMode;
+///
+/// Malformed input follows one contract, shared with .edpm models
+/// (DESIGN.md §8): the diagnosing read never throws on malformed content
+/// and records every problem as a Diagnostic; the throwing read is a
+/// wrapper that raises the first of them.
 
 struct EdpReadOptions {
-    ParseMode mode = ParseMode::Strict;
     /// Storage cap for collected diagnostics (counts keep accumulating).
     std::size_t max_diagnostics = DiagnosticLog::kDefaultCapacity;
 };
 
-/// Outcome of a tolerant (or strict) parse.
+/// Outcome of a diagnosing parse.
 struct EdpReadResult {
     ProfiledRun run;
     DiagnosticLog diagnostics;
@@ -61,18 +60,18 @@ struct EdpReadResult {
 /// containing tabs/newlines and Error if the stream write fails.
 void write_edp(std::ostream& os, const ProfiledRun& run);
 
-/// Parses a profiled run in strict mode; throws ParseError on malformed
-/// input, including version mismatches, truncated files (missing END), and
-/// trailing data after END.
+/// Parses a profiled run; throws ParseError whose text is the reason of the
+/// first diagnostic the diagnosing read records, whatever its severity
+/// (version mismatch, truncated file, trailing data after END, ...).
 ProfiledRun read_edp(std::istream& is);
 
-/// Parses a profiled run under the given options. In Tolerant mode this
-/// never throws on malformed content; problems are returned as diagnostics
-/// instead. In Strict mode it behaves exactly like read_edp(is).
+/// Parses a profiled run and never throws on malformed content: every
+/// problem is returned as a diagnostic, and a run with an Error diagnostic
+/// is quarantined (ok() == false).
 EdpReadResult read_edp(std::istream& is, const EdpReadOptions& options);
 
-/// File-based convenience wrappers. Throw Error on I/O failure (in both
-/// modes: an unopenable file is an environment problem, not dirty data).
+/// File-based convenience wrappers. Both throw Error on I/O failure: an
+/// unopenable file is an environment problem, not dirty data.
 void write_edp_file(const std::string& path, const ProfiledRun& run);
 ProfiledRun read_edp_file(const std::string& path);
 EdpReadResult read_edp_file(const std::string& path,

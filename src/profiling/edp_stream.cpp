@@ -161,10 +161,7 @@ int parse_bounded_int(std::string_view s, const char* what, long long lo,
 
 EdpStreamReader::EdpStreamReader(std::istream& is,
                                  const EdpReadOptions& options)
-    : is_(is),
-      mode_(options.mode),
-      log_(options.max_diagnostics),
-      buf_(kBlockBytes) {}
+    : is_(is), log_(options.max_diagnostics), buf_(kBlockBytes) {}
 
 /// Appends the next block of the stream to the unconsumed bytes, first
 /// moving them (the partial last line) to the front of the buffer. A line
@@ -274,9 +271,6 @@ void EdpStreamReader::count_skipped() {
 
 void EdpStreamReader::finish_truncated() {
     if (!saw_end_) {
-        if (mode_ != ParseMode::Tolerant) {
-            throw ParseError("EDP: truncated file (missing END)");
-        }
         log_.add(Severity::Error, "EDP: truncated file (missing END)",
                  line_no_);
     }
@@ -290,9 +284,6 @@ void EdpStreamReader::finish_after_end() {
         if (!line_.empty()) ++trailing;
     }
     if (trailing > 0) {
-        if (mode_ != ParseMode::Tolerant) {
-            throw ParseError("EDP: trailing data after END");
-        }
         std::ostringstream os;
         os << "EDP: ignored " << trailing
            << " line(s) of trailing data after END";
@@ -355,8 +346,8 @@ bool EdpStreamReader::process_fields(EdpRecord& out) {
         out.kind = EdpRecord::Kind::WallTime;
     } else if (tag == "RANK") {
         flush_skipped();
-        // Any failure below quarantines the whole block in tolerant mode:
-        // events of an undecodable or duplicated rank cannot be attributed.
+        // Any failure below quarantines the whole block: events of an
+        // undecodable or duplicated rank cannot be attributed.
         rank_usable_ = false;
         if (n != 2) throw ParseError("EDP: malformed RANK line");
         const int rank = parse_bounded_int(f[1], "rank", 0);
@@ -370,11 +361,8 @@ bool EdpStreamReader::process_fields(EdpRecord& out) {
         out.kind = EdpRecord::Kind::RankBegin;
     } else if (tag == "M") {
         if (!rank_usable_) {
-            if (mode_ == ParseMode::Tolerant) {
-                count_skipped();
-                return false;
-            }
-            throw ParseError("EDP: mark before RANK");
+            count_skipped();
+            return false;
         }
         if (n != 6) throw ParseError("EDP: malformed M line");
         NvtxMark m;
@@ -394,11 +382,8 @@ bool EdpStreamReader::process_fields(EdpRecord& out) {
         out.kind = EdpRecord::Kind::Mark;
     } else if (tag == "E") {
         if (!rank_usable_) {
-            if (mode_ == ParseMode::Tolerant) {
-                count_skipped();
-                return false;
-            }
-            throw ParseError("EDP: event before RANK");
+            count_skipped();
+            return false;
         }
         if (n != 7) throw ParseError("EDP: malformed E line");
         check_read_name(f[1], "event name");
@@ -428,28 +413,20 @@ bool EdpStreamReader::next(EdpRecord& out) {
     if (stage_ == Stage::Done) {
         return false;
     }
-    const bool tolerant = mode_ == ParseMode::Tolerant;
-
     if (stage_ == Stage::Header) {
         stage_ = Stage::Body;
         if (!read_line()) {
-            if (!tolerant) throw ParseError("EDP: empty input");
             log_.add(Severity::Error, "EDP: empty input");
             stage_ = Stage::Done;
             return false;
         }
         split_fields();
         if (n_fields_ != 2 || fields_[0] != "EDP") {
-            if (!tolerant) throw ParseError("EDP: missing header");
             log_.add(Severity::Error, "EDP: missing header", line_no_);
             // Best effort: the first line may itself be a record (e.g. the
             // header was deleted); feed it through the normal dispatch.
             have_pending_line_ = !line_.empty();
         } else if (fields_[1] != "1") {
-            if (!tolerant) {
-                throw ParseError("EDP: unsupported version " +
-                                 std::string(fields_[1]));
-            }
             log_.add(Severity::Error,
                      "EDP: unsupported version " + std::string(fields_[1]),
                      line_no_);
@@ -472,19 +449,15 @@ bool EdpStreamReader::next(EdpRecord& out) {
         }
         split_fields();
         bool emitted = false;
-        if (!tolerant) {
+        try {
             emitted = process_fields(out);
-        } else {
-            try {
-                emitted = process_fields(out);
-            } catch (const ParseError& e) {
-                warn(e.what(), line_no_, current_rank());
-                if (fields_[0] == "RANK") {
-                    // The block header is unusable; swallow its records.
-                    rank_usable_ = false;
-                }
-                continue;
+        } catch (const ParseError& e) {
+            warn(e.what(), line_no_, current_rank());
+            if (fields_[0] == "RANK") {
+                // The block header is unusable; swallow its records.
+                rank_usable_ = false;
             }
+            continue;
         }
         if (!emitted) continue;
         if (out.kind == EdpRecord::Kind::End) {

@@ -47,7 +47,7 @@ struct EdpRecord {
 };
 
 /// Pull-based, record-at-a-time EDP reader: the single implementation of
-/// the EDP grammar and of the strict/tolerant Diagnostic contract.
+/// the EDP grammar and of the Diagnostic contract (DESIGN.md §8).
 /// read_edp() is a thin fold over this class (materialising the records
 /// into a ProfiledRun), and the streaming ingestion path consumes the same
 /// records without ever materialising a full run — so the two paths are
@@ -70,11 +70,12 @@ struct EdpRecord {
 ///   while (reader.next(rec)) { ...switch (rec.kind)... }
 ///   // reader.diagnostics() now holds the full parse log.
 ///
-/// Strict mode throws ParseError out of next() on the first problem.
-/// Tolerant mode records diagnostics instead and keeps going; malformed
-/// records are skipped (next() silently advances past them), and rank
-/// blocks whose RANK header is unusable are quarantined: their event/mark
-/// records are counted and summarised but never emitted. next() returns
+/// The reader never throws on malformed content. It records every problem
+/// as a Diagnostic and keeps going; malformed records are skipped (next()
+/// silently advances past them), and rank blocks whose RANK header is
+/// unusable are quarantined: their event/mark records are counted and
+/// summarised but never emitted. (The throwing read_edp raises the first
+/// diagnostic of this log.) next() returns
 /// false once the input is exhausted; the final structural diagnostics
 /// (missing END, trailing data after END) are recorded before the End
 /// record / the terminating false is returned.
@@ -92,8 +93,7 @@ public:
     EdpStreamReader(const EdpStreamReader&) = delete;
     EdpStreamReader& operator=(const EdpStreamReader&) = delete;
 
-    /// Advances to the next record. Returns false at end of input. In
-    /// strict mode throws ParseError on the first malformed construct.
+    /// Advances to the next record. Returns false at end of input.
     /// Invalidates the name of the previous record.
     bool next(EdpRecord& out);
 
@@ -130,7 +130,8 @@ private:
     /// nothing, and process_fields parses the line (and words any error).
     bool parse_event_fast(EdpRecord& out);
     /// Parses fields_ into `out`; returns true if a record was emitted.
-    /// Throws ParseError on malformed content.
+    /// Throws ParseError on malformed content, which next() records as a
+    /// warning.
     bool process_fields(EdpRecord& out);
     void finish_truncated();
     void finish_after_end();
@@ -144,7 +145,6 @@ private:
     }
 
     std::istream& is_;
-    ParseMode mode_;
     DiagnosticLog log_;
     Stage stage_ = Stage::Header;
     /// Bytes read but not yet consumed are buf_[begin_, end_); the first

@@ -46,12 +46,10 @@ RegistryLoadReport ModelRegistry::load_directory(const std::string& dir) {
     };
     std::vector<Parsed> parsed;
     parsed.reserve(paths.size());
-    EdpmReadOptions options;
-    options.mode = ParseMode::Tolerant;
     for (const auto& path : paths) {
         EdpmReadResult result;
         try {
-            result = read_edpm_file(path, options);
+            result = read_edpm_file_diagnosed(path);
         } catch (const Error& e) {
             // Unreadable file (e.g. removed mid-scan): quarantine, never
             // drop the registry.
@@ -61,11 +59,7 @@ RegistryLoadReport ModelRegistry::load_directory(const std::string& dir) {
             parsed.push_back({path, nullptr});
             continue;
         }
-        for (const auto& d : result.diagnostics.entries()) {
-            Diagnostic tagged = d;
-            tagged.reason = path + ": " + tagged.reason;
-            report.diagnostics.add(std::move(tagged));
-        }
+        report.diagnostics.merge(result.diagnostics, path + ": ");
         if (result.ok()) {
             parsed.push_back(
                 {path, std::make_shared<const ServableModel>(

@@ -129,31 +129,18 @@ std::vector<std::string> split_tabs(const std::string& line) {
     return out;
 }
 
-/// Raised internally to abandon a tolerant parse that cannot make progress
-/// (e.g. missing header). Converted to a quarantined result at the top.
+/// Raised internally to abandon a parse that cannot make progress (e.g.
+/// missing header). Converted to a quarantined result at the top.
 struct AbortParse {};
 
 struct Reader {
     std::istream& is;
-    EdpmReadOptions options;
     DiagnosticLog log;
     long long line_no = 0;
 
-    explicit Reader(std::istream& stream, const EdpmReadOptions& opts)
-        : is(stream), options(opts) {}
+    explicit Reader(std::istream& stream) : is(stream) {}
 
-    bool strict() const { return options.mode == ParseMode::Strict; }
-
-    /// Records a problem; in strict mode any problem is fatal.
     void problem(Severity severity, const std::string& reason) {
-        if (strict()) {
-            std::ostringstream os;
-            os << "EDPM: " << reason;
-            if (line_no > 0) {
-                os << " (line " << line_no << ")";
-            }
-            throw ParseError(os.str());
-        }
         log.add(severity, "EDPM: " + reason, line_no);
     }
 
@@ -180,7 +167,9 @@ bool parse_i64(const std::string& s, std::int64_t& out) {
 }
 
 bool parse_u64(const std::string& s, std::uint64_t& out) {
-    if (s.empty() || s[0] == '-') {
+    // std::stoull skips leading blanks and negates in unsigned arithmetic,
+    // so a minus sign anywhere makes the token malformed.
+    if (s.empty() || s.find('-') != std::string::npos) {
         return false;
     }
     try {
@@ -206,7 +195,7 @@ struct ModelSection {
 };
 
 /// Parses one MODEL..ENDMODEL section; the MODEL line itself has already
-/// been consumed (fields passed in). Never throws in tolerant mode.
+/// been consumed (fields passed in). Never throws.
 ModelSection read_model_section(Reader& r,
                                 const std::vector<std::string>& model_fields) {
     ModelSection out;
@@ -417,9 +406,10 @@ ModelSection read_model_section(Reader& r,
     return out;
 }
 
-EdpmReadResult read_edpm_impl(std::istream& is,
-                              const EdpmReadOptions& options) {
-    Reader r(is, options);
+}  // namespace
+
+EdpmReadResult read_edpm_diagnosed(std::istream& is) {
+    Reader r(is);
     ServableModel model;
     bool have_name = false;
     bool have_spec = false;
@@ -637,8 +627,6 @@ EdpmReadResult read_edpm_impl(std::istream& is,
     return {std::move(model), std::move(r.log)};
 }
 
-}  // namespace
-
 ServableModel make_servable(const ExperimentSpec& spec,
                             const ExperimentResult& result, std::string name) {
     if (!valid_model_name(name)) {
@@ -728,15 +716,16 @@ void write_edpm(std::ostream& os, const ServableModel& model) {
 }
 
 ServableModel read_edpm(std::istream& is) {
-    EdpmReadOptions options;
-    options.mode = ParseMode::Strict;
-    EdpmReadResult result = read_edpm_impl(is, options);
-    // Strict mode throws at the first problem, so reaching here means ok.
+    EdpmReadResult result = read_edpm_diagnosed(is);
+    if (!result.diagnostics.empty()) {
+        const Diagnostic& first = result.diagnostics.entries().front();
+        std::string what = first.reason;
+        if (first.line > 0) {
+            what += " (line " + std::to_string(first.line) + ")";
+        }
+        throw ParseError(what);
+    }
     return std::move(*result.model);
-}
-
-EdpmReadResult read_edpm(std::istream& is, const EdpmReadOptions& options) {
-    return read_edpm_impl(is, options);
 }
 
 void write_edpm_file(const std::string& path, const ServableModel& model) {
@@ -759,13 +748,12 @@ ServableModel read_edpm_file(const std::string& path) {
     return read_edpm(is);
 }
 
-EdpmReadResult read_edpm_file(const std::string& path,
-                              const EdpmReadOptions& options) {
+EdpmReadResult read_edpm_file_diagnosed(const std::string& path) {
     std::ifstream is(path);
     if (!is) {
         throw Error("EDPM: cannot open '" + path + "'");
     }
-    return read_edpm(is, options);
+    return read_edpm_diagnosed(is);
 }
 
 }  // namespace extradeep::serve

@@ -110,11 +110,7 @@ ServableModel make_servable(const ExperimentSpec& spec,
 /// and Error if the stream write fails.
 void write_edpm(std::ostream& os, const ServableModel& model);
 
-struct EdpmReadOptions {
-    ParseMode mode = ParseMode::Strict;
-};
-
-/// Outcome of a tolerant (or strict) model load.
+/// Outcome of a diagnosing model load.
 struct EdpmReadResult {
     /// Present unless an Error-severity problem made the model unusable.
     /// Warnings alone (unknown tags, dropped fit info, trailing data) still
@@ -127,22 +123,22 @@ struct EdpmReadResult {
     bool ok() const { return model.has_value() && !diagnostics.has_errors(); }
 };
 
-/// Parses a model in strict mode; throws ParseError on malformed input,
-/// including version mismatches, truncated files (missing END), duplicate
-/// or missing sections, and trailing data after END.
+/// Parses a model; throws ParseError carrying the first diagnostic
+/// read_edpm_diagnosed records, whatever its severity, as
+/// "<reason> (line N)" (version mismatches, truncated files, duplicate or
+/// missing sections, trailing data after END, ...). One contract with the
+/// EDP reader (DESIGN.md §8).
 ServableModel read_edpm(std::istream& is);
 
-/// Parses a model under the given options. In Tolerant mode this never
-/// throws on malformed content; problems are returned as diagnostics and a
-/// corrupt file comes back quarantined (model == nullopt). In Strict mode
-/// it behaves exactly like read_edpm(is).
-EdpmReadResult read_edpm(std::istream& is, const EdpmReadOptions& options);
+/// Parses a model and never throws on malformed content: every problem is
+/// returned as a diagnostic and a corrupt file comes back quarantined
+/// (model == nullopt).
+EdpmReadResult read_edpm_diagnosed(std::istream& is);
 
-/// File-based convenience wrappers. Throw Error on I/O failure (in both
-/// modes: an unopenable file is an environment problem, not dirty data).
+/// File-based convenience wrappers. Both throw Error on I/O failure: an
+/// unopenable file is an environment problem, not dirty data.
 void write_edpm_file(const std::string& path, const ServableModel& model);
 ServableModel read_edpm_file(const std::string& path);
-EdpmReadResult read_edpm_file(const std::string& path,
-                              const EdpmReadOptions& options);
+EdpmReadResult read_edpm_file_diagnosed(const std::string& path);
 
 }  // namespace extradeep::serve

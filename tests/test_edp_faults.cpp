@@ -32,9 +32,7 @@ std::string to_edp(const profiling::ProfiledRun& run) {
 
 profiling::EdpReadResult tolerant_read(const std::string& bytes) {
     std::istringstream is(bytes);
-    profiling::EdpReadOptions options;
-    options.mode = profiling::ParseMode::Tolerant;
-    return profiling::read_edp(is, options);
+    return profiling::read_edp(is, profiling::EdpReadOptions{});
 }
 
 void expect_runs_equal(const profiling::ProfiledRun& a,

@@ -162,7 +162,6 @@ std::vector<std::string> reader_outcomes(Slot slot,
     text += "END\n";
     std::istringstream is(text);
     profiling::EdpReadOptions options;
-    options.mode = extradeep::ParseMode::Tolerant;
     options.max_diagnostics = tokens.size() + 1;
     const profiling::EdpReadResult result = profiling::read_edp(is, options);
     EXPECT_TRUE(result.ok());

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -324,6 +325,34 @@ TEST(IngestFiles, ToleratesCorruptAndForeignFiles) {
     EXPECT_TRUE(result.diagnostics.has_errors());
     EXPECT_EQ(result.data.parameter_values(),
               (std::vector<double>{2.0, 4.0}));
+}
+
+TEST(IngestFiles, FileDiagnosticsKeepTheirOverflowCounts) {
+    // 1,500 undecodable event lines in one rank block: one warning each,
+    // more than a log stores.
+    Rng rng(7);
+    std::ostringstream os;
+    profiling::write_edp(os, edpfuzz::coherent_run(rng, {{"x1", 2.0}}, 0, 2));
+    std::string text = os.str();
+    std::string bad;
+    for (int i = 0; i < 1500; ++i) {
+        bad += "E\tk\tCUDA kernel\tzz\t1\t1\t0\n";
+    }
+    text.insert(text.find('\n', text.find("RANK\t0")) + 1, bad);
+    const std::string path = ::testing::TempDir() + "/ingest_overflow.edp";
+    std::ofstream(path) << text;
+
+    const profiling::EdpReadResult read = profiling::read_edp_file(
+        path, profiling::EdpReadOptions{});
+    ASSERT_EQ(read.diagnostics.count(Severity::Warning), 1500u);
+    const std::vector<std::string> paths = {path};
+    const IngestResult result = ingest_edp_files(paths);
+    EXPECT_EQ(result.runs_kept, 1u);
+    EXPECT_EQ(result.diagnostics.count(Severity::Warning), 1500u);
+    EXPECT_EQ(result.diagnostics.total(), read.diagnostics.total());
+    ASSERT_FALSE(result.diagnostics.entries().empty());
+    EXPECT_EQ(result.diagnostics.entries().front().reason,
+              path + ": " + read.diagnostics.entries().front().reason);
 }
 
 TEST(IngestFiles, RepetitionsAreOrderedByIndexNotByPath) {

@@ -228,16 +228,14 @@ IngestResult reference_ingest_runs(
 /// repetitions by index, then reference_ingest_runs.
 IngestResult reference_ingest(const std::vector<std::string>& paths) {
     const IngestOptions options;
-    profiling::EdpReadOptions read_options;
-    read_options.mode = ParseMode::Tolerant;
-
     DiagnosticLog parse_log;
     std::size_t dropped_files = 0;
     std::map<std::map<std::string, double>, std::vector<ProfiledRun>> groups;
     for (const std::string& path : paths) {
         profiling::EdpReadResult parsed;
         try {
-            parsed = profiling::read_edp_file(path, read_options);
+            parsed =
+                profiling::read_edp_file(path, profiling::EdpReadOptions{});
         } catch (const Error& e) {
             parse_log.add(Severity::Error, path + ": " + e.what());
             ++dropped_files;

@@ -253,9 +253,7 @@ namespace {
 
 EdpReadResult tolerant_parse(const std::string& text) {
     std::istringstream is(text);
-    EdpReadOptions options;
-    options.mode = ParseMode::Tolerant;
-    return read_edp(is, options);
+    return read_edp(is, EdpReadOptions{});
 }
 
 const char* const kCleanEdp =
@@ -465,50 +463,25 @@ TEST(EdpTolerant, OrphanRecordsBeforeAnyRankAreCounted) {
 
 namespace {
 
-/// The reader's strict exception text for the first problem a tolerant
-/// read reports. Two problems are worded differently by the two modes: an
-/// orphan record (strict names its tag) and trailing data (tolerant counts
-/// the lines).
-std::string strict_text(const Diagnostic& first, const std::string& text) {
-    const std::string orphan =
-        "EDP: event/mark record outside a usable RANK block";
-    if (first.reason == orphan) {
-        std::istringstream lines(text);
-        std::string line;
-        for (long long i = 0; i < first.line; ++i) {
-            std::getline(lines, line);
-        }
-        return line.rfind("E\t", 0) == 0 ? "EDP: event before RANK"
-                                         : "EDP: mark before RANK";
-    }
-    if (first.reason.rfind("EDP: ignored ", 0) == 0 &&
-        first.reason.find("trailing data after END") != std::string::npos) {
-        return "EDP: trailing data after END";
-    }
-    return first.reason;
-}
-
 std::string edp_text(const ProfiledRun& run) {
     std::ostringstream os;
     write_edp(os, run);
     return os.str();
 }
 
-/// Strict read_edp_file throws the first problem a tolerant read of the
-/// same file reports, and throws nothing when the tolerant read is clean.
+/// The throwing read_edp_file raises the first problem the diagnosing read
+/// of the same file reports, word for word, and throws nothing when that
+/// read is clean.
 void expect_strict_matches_tolerant(const std::string& text) {
     const std::string path = ::testing::TempDir() + "/strict_vs_tolerant.edp";
     {
         std::ofstream os(path, std::ios::binary);
         os << text;
     }
-    EdpReadOptions tolerant;
-    tolerant.mode = ParseMode::Tolerant;
-    const EdpReadResult parsed = read_edp_file(path, tolerant);
-    const std::string want =
-        parsed.diagnostics.entries().empty()
-            ? "(no throw)"
-            : strict_text(parsed.diagnostics.entries().front(), text);
+    const EdpReadResult parsed = read_edp_file(path, EdpReadOptions{});
+    const std::string want = parsed.diagnostics.entries().empty()
+                                 ? "(no throw)"
+                                 : parsed.diagnostics.entries().front().reason;
     std::string got = "(no throw)";
     try {
         read_edp_file(path);
@@ -548,9 +521,7 @@ TEST(EdpStrict, RejectsForeignFileThatTolerantModeQuarantines) {
         os << "this is\nnot an EDP file\n";
     }
     EXPECT_THROW(read_edp_file(path), ParseError);
-    EdpReadOptions tolerant;
-    tolerant.mode = ParseMode::Tolerant;
-    EXPECT_FALSE(read_edp_file(path, tolerant).ok());
+    EXPECT_FALSE(read_edp_file(path, EdpReadOptions{}).ok());
     std::remove(path.c_str());
 }
 
@@ -602,48 +573,42 @@ std::string bits(double v) {
 }
 
 /// Everything the reader hands out, in order: each record with its doubles
-/// as bit patterns, the exception text in strict mode, the diagnostics
-/// (severity, line, rank, text) and saw_end().
-std::string transcript(std::istream& is, ParseMode mode) {
-    EdpReadOptions options;
-    options.mode = mode;
-    EdpStreamReader reader(is, options);
+/// as bit patterns, the diagnostics (severity, line, rank, text) and
+/// saw_end().
+std::string transcript(std::istream& is) {
+    EdpStreamReader reader(is, EdpReadOptions{});
     std::ostringstream os;
-    try {
-        EdpRecord rec;
-        while (reader.next(rec)) {
-            os << static_cast<int>(rec.kind);
-            switch (rec.kind) {
-                case EdpRecord::Kind::Param:
-                    os << ' ' << rec.name << ' ' << bits(rec.number);
-                    break;
-                case EdpRecord::Kind::WallTime:
-                    os << ' ' << bits(rec.number);
-                    break;
-                case EdpRecord::Kind::Repetition:
-                case EdpRecord::Kind::RankBegin:
-                    os << ' ' << rec.index;
-                    break;
-                case EdpRecord::Kind::Mark:
-                    os << ' ' << static_cast<int>(rec.mark.kind) << ' '
-                       << rec.mark.epoch << ' ' << rec.mark.step << ' '
-                       << static_cast<int>(rec.mark.step_kind) << ' '
-                       << bits(rec.mark.time);
-                    break;
-                case EdpRecord::Kind::Event:
-                    os << ' ' << rec.name << ' '
-                       << static_cast<int>(rec.event.category) << ' '
-                       << bits(rec.event.start) << ' '
-                       << bits(rec.event.duration) << ' '
-                       << bits(rec.event.bytes) << ' ' << rec.event.visits;
-                    break;
-                case EdpRecord::Kind::End:
-                    break;
-            }
-            os << '\n';
+    EdpRecord rec;
+    while (reader.next(rec)) {
+        os << static_cast<int>(rec.kind);
+        switch (rec.kind) {
+            case EdpRecord::Kind::Param:
+                os << ' ' << rec.name << ' ' << bits(rec.number);
+                break;
+            case EdpRecord::Kind::WallTime:
+                os << ' ' << bits(rec.number);
+                break;
+            case EdpRecord::Kind::Repetition:
+            case EdpRecord::Kind::RankBegin:
+                os << ' ' << rec.index;
+                break;
+            case EdpRecord::Kind::Mark:
+                os << ' ' << static_cast<int>(rec.mark.kind) << ' '
+                   << rec.mark.epoch << ' ' << rec.mark.step << ' '
+                   << static_cast<int>(rec.mark.step_kind) << ' '
+                   << bits(rec.mark.time);
+                break;
+            case EdpRecord::Kind::Event:
+                os << ' ' << rec.name << ' '
+                   << static_cast<int>(rec.event.category) << ' '
+                   << bits(rec.event.start) << ' '
+                   << bits(rec.event.duration) << ' '
+                   << bits(rec.event.bytes) << ' ' << rec.event.visits;
+                break;
+            case EdpRecord::Kind::End:
+                break;
         }
-    } catch (const ParseError& e) {
-        os << "throw " << e.what() << '\n';
+        os << '\n';
     }
     for (const Diagnostic& d : reader.diagnostics().entries()) {
         os << "diag " << static_cast<int>(d.severity) << ' ' << d.line << ' '
@@ -653,24 +618,41 @@ std::string transcript(std::istream& is, ParseMode mode) {
     return os.str();
 }
 
-std::string transcript(const std::string& bytes, ParseMode mode) {
+std::string transcript(const std::string& bytes) {
     std::istringstream is(bytes);
-    return transcript(is, mode);
+    return transcript(is);
+}
+
+/// What the throwing read_edp makes of the input: the run written back as
+/// EDP (bit-exact), or the exception text.
+std::string throwing_transcript(std::istream& is) {
+    try {
+        return edp_text(read_edp(is));
+    } catch (const ParseError& e) {
+        return std::string("throw ") + e.what() + '\n';
+    }
+}
+
+std::string throwing_transcript(const std::string& bytes) {
+    std::istringstream is(bytes);
+    return throwing_transcript(is);
 }
 
 /// Reading `bytes` 1 byte at a time, or in prime-sized pieces smaller and
-/// larger than the reader's block, yields exactly the one-piece read.
+/// larger than the reader's block, yields exactly the one-piece read, both
+/// through the reader and through the throwing read_edp.
 void expect_piece_invariant(const std::string& bytes) {
-    for (const ParseMode mode : {ParseMode::Tolerant, ParseMode::Strict}) {
-        const std::string whole = transcript(bytes, mode);
-        for (const std::size_t piece :
-             {std::size_t{1}, std::size_t{7}, std::size_t{4093},
-              std::size_t{65537}}) {
-            PieceBuf buf(bytes, piece);
-            std::istream is(&buf);
-            EXPECT_EQ(transcript(is, mode), whole)
-                << "piece " << piece << " mode " << static_cast<int>(mode);
-        }
+    const std::string whole = transcript(bytes);
+    const std::string thrown = throwing_transcript(bytes);
+    for (const std::size_t piece : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{4093}, std::size_t{65537}}) {
+        PieceBuf reader_buf(bytes, piece);
+        std::istream reader_is(&reader_buf);
+        EXPECT_EQ(transcript(reader_is), whole) << "piece " << piece;
+        PieceBuf throwing_buf(bytes, piece);
+        std::istream throwing_is(&throwing_buf);
+        EXPECT_EQ(throwing_transcript(throwing_is), thrown)
+            << "piece " << piece;
     }
 }
 
@@ -747,8 +729,7 @@ TEST(EdpChunks, CrlfSplitAcrossBlockEdge) {
     ASSERT_EQ(crlf[kBlock], '\n');
 
     const std::string lf = event_profile(names);
-    EXPECT_EQ(transcript(crlf, ParseMode::Tolerant),
-              transcript(lf, ParseMode::Tolerant));
+    EXPECT_EQ(transcript(crlf), transcript(lf));
     std::istringstream is(crlf);
     const ProfiledRun run = read_edp(is);
     ASSERT_EQ(run.ranks.size(), 1u);
@@ -761,10 +742,8 @@ TEST(EdpChunks, LastLineWithoutNewline) {
     const std::string text = event_profile({"gemm", "conv"});
     ASSERT_EQ(text.back(), '\n');
     const std::string cut = text.substr(0, text.size() - 1);
-    EXPECT_EQ(transcript(cut, ParseMode::Strict),
-              transcript(text, ParseMode::Strict));
-    EXPECT_NE(transcript(cut, ParseMode::Tolerant).find("saw_end 1"),
-              std::string::npos);
+    EXPECT_EQ(throwing_transcript(cut), throwing_transcript(text));
+    EXPECT_NE(transcript(cut).find("saw_end 1"), std::string::npos);
     expect_piece_invariant(cut);
 }
 
@@ -781,10 +760,8 @@ TEST(EdpChunks, LineLongerThanTheBlock) {
 }
 
 TEST(EdpChunks, EmptyInput) {
-    EXPECT_EQ(transcript("", ParseMode::Tolerant),
-              "diag 2 -1 -1 EDP: empty input\nsaw_end 0\n");
-    EXPECT_EQ(transcript("", ParseMode::Strict),
-              "throw EDP: empty input\nsaw_end 0\n");
+    EXPECT_EQ(transcript(""), "diag 2 -1 -1 EDP: empty input\nsaw_end 0\n");
+    EXPECT_EQ(throwing_transcript(""), "throw EDP: empty input\n");
     expect_piece_invariant("");
 }
 
@@ -796,23 +773,23 @@ TEST(EdpChunks, TrailingDataAfterEnd) {
     for (std::size_t i = 0; i < trailing; ++i) {
         text += "x\n";
     }
-    const std::string got = transcript(text, ParseMode::Tolerant);
+    const std::string got = transcript(text);
     EXPECT_NE(got.find("diag 1 " + std::to_string(end_line + trailing) +
                        " -1 EDP: ignored " + std::to_string(trailing) +
                        " line(s) of trailing data after END\n"),
               std::string::npos)
         << got;
     EXPECT_NE(got.find("saw_end 1"), std::string::npos);
-    EXPECT_NE(transcript(text, ParseMode::Strict)
-                  .find("throw EDP: trailing data after END"),
-              std::string::npos);
+    EXPECT_EQ(throwing_transcript(text),
+              "throw EDP: ignored " + std::to_string(trailing) +
+                  " line(s) of trailing data after END\n");
     expect_piece_invariant(text);
 }
 
 TEST(EdpChunks, HeaderlessFirstLine) {
     const std::string text = event_profile({"gemm"}).substr(6);
     ASSERT_EQ(text.rfind("P\tx1\t4\n", 0), 0u);
-    const std::string got = transcript(text, ParseMode::Tolerant);
+    const std::string got = transcript(text);
     EXPECT_EQ(got.rfind("0 x1 " + bits(4.0) + "\n", 0), 0u) << got;
     EXPECT_NE(got.find("diag 2 1 -1 EDP: missing header\n"), std::string::npos)
         << got;

@@ -182,10 +182,8 @@ TEST(EdpmSerialize, TolerantQuarantinesCorruptConst) {
     const std::size_t pos = text.find("CONST\t");
     text.replace(pos, 6, "CONST\tzz");
     std::istringstream is(text);
-    serve::EdpmReadOptions options;
-    options.mode = ParseMode::Tolerant;
     serve::EdpmReadResult result;
-    EXPECT_NO_THROW(result = serve::read_edpm(is, options));
+    EXPECT_NO_THROW(result = serve::read_edpm_diagnosed(is));
     EXPECT_FALSE(result.ok());
     EXPECT_TRUE(result.diagnostics.has_errors());
 }
@@ -195,9 +193,7 @@ TEST(EdpmSerialize, TolerantDegradesCorruptQualityWithWarning) {
     const std::size_t pos = text.find("QUALITY\t");
     text.replace(pos, 8, "QUALITY\tzz\t");
     std::istringstream is(text);
-    serve::EdpmReadOptions options;
-    options.mode = ParseMode::Tolerant;
-    const serve::EdpmReadResult result = serve::read_edpm(is, options);
+    const serve::EdpmReadResult result = serve::read_edpm_diagnosed(is);
     ASSERT_TRUE(result.model.has_value());
     EXPECT_FALSE(result.diagnostics.has_errors());
     EXPECT_GE(result.diagnostics.count(Severity::Warning), 1u);
@@ -212,9 +208,7 @@ TEST(EdpmSerialize, TolerantSkipsUnknownModelSections) {
         "MODEL\tphase.future.train\nPARAMS\t1\tx1\nCONST\t0x1p+0\nENDMODEL\n";
     text.insert(text.find("END\n"), extra);
     std::istringstream is(text);
-    serve::EdpmReadOptions options;
-    options.mode = ParseMode::Tolerant;
-    const serve::EdpmReadResult result = serve::read_edpm(is, options);
+    const serve::EdpmReadResult result = serve::read_edpm_diagnosed(is);
     ASSERT_TRUE(result.model.has_value());
     EXPECT_FALSE(result.diagnostics.has_errors());
 }
@@ -227,10 +221,29 @@ TEST(EdpmSerialize, UnknownDatasetQuarantines) {
     ASSERT_NE(pos, std::string::npos);
     text.replace(pos + 5, 8, "NOSUCH-1");
     std::istringstream is(text);
-    serve::EdpmReadOptions options;
-    options.mode = ParseMode::Tolerant;
-    const serve::EdpmReadResult result = serve::read_edpm(is, options);
+    const serve::EdpmReadResult result = serve::read_edpm_diagnosed(is);
     EXPECT_FALSE(result.ok());
+}
+
+TEST(EdpmSerialize, NegativeSeedAfterABlankIsMalformed) {
+    // std::stoull skips leading blanks and negates in unsigned arithmetic,
+    // so " -5" must be refused like "-5", not loaded as 2^64 - 5.
+    const std::string text = edpm_text(test_model());
+    const std::size_t pos = text.find("SEED\t");
+    ASSERT_NE(pos, std::string::npos);
+    const std::size_t eol = text.find('\n', pos);
+    for (const char* seed : {"-5", " -5"}) {
+        SCOPED_TRACE(std::string("SEED value '") + seed + "'");
+        std::string bad = text;
+        bad.replace(pos + 5, eol - pos - 5, seed);
+        std::istringstream is(bad);
+        const serve::EdpmReadResult result = serve::read_edpm_diagnosed(is);
+        ASSERT_TRUE(result.ok());
+        EXPECT_EQ(result.model->seed, 0u);
+        ASSERT_EQ(result.diagnostics.total(), 1u);
+        EXPECT_EQ(result.diagnostics.entries().front().reason,
+                  "EDPM: malformed SEED record, defaulting to 0");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -254,6 +267,29 @@ TEST(ModelRegistry, LoadsDirectoryAndQuarantinesCorruptFiles) {
     EXPECT_NE(registry.find("model-b"), nullptr);
     EXPECT_EQ(registry.find("nosuch"), nullptr);
     EXPECT_TRUE(report.diagnostics.has_errors());
+}
+
+TEST(ModelRegistry, FileDiagnosticsKeepTheirOverflowCounts) {
+    // 1,500 unknown records: one warning each, more than a log stores.
+    std::string text = edpm_text(test_model("model-a"));
+    std::string unknown;
+    for (int i = 0; i < 1500; ++i) {
+        unknown += "WAT\t" + std::to_string(i) + "\n";
+    }
+    text.insert(text.rfind("END\n"), unknown);
+    const fs::path dir = fresh_dir("overflow");
+    std::ofstream(dir / "a.edpm") << text;
+
+    serve::ModelRegistry registry;
+    const serve::RegistryLoadReport report =
+        registry.load_directory(dir.string());
+    EXPECT_EQ(report.loaded, 1);
+    EXPECT_EQ(report.diagnostics.count(Severity::Warning), 1500u);
+    EXPECT_EQ(report.diagnostics.total(), 1500u);
+    EXPECT_EQ(report.diagnostics.entries().size(),
+              DiagnosticLog::kDefaultCapacity);
+    EXPECT_EQ(report.diagnostics.entries().front().reason,
+              (dir / "a.edpm").string() + ": EDPM: unknown record 'WAT' skipped");
 }
 
 TEST(ModelRegistry, DuplicateNameFirstFileWins) {
