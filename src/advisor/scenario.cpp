@@ -80,11 +80,6 @@ void apply_token(Scenario& sc, const std::string& token) {
 
 }  // namespace
 
-bool Scenario::is_identity() const {
-    return interconnect == 1.0 && latency == 1.0 && bandwidth == 1.0 &&
-           overlap == 0.0 && collective == CollectiveAlgo::None && fuse < 2;
-}
-
 bool Scenario::is_uniform_link_scaling() const {
     return latency_factor() == bandwidth_factor() &&
            collective == CollectiveAlgo::None;

@@ -28,9 +28,6 @@ struct Scenario {
     /// Fuse the top-k compute kernels into one launch; k < 2 is a no-op.
     int fuse = 0;
 
-    /// True when the scenario changes nothing (all magnitudes neutral).
-    bool is_identity() const;
-
     /// True when the effective latency and bandwidth factors are equal, the
     /// algorithm is untouched, and no fusion applies — the case where every
     /// communication closed form scales by exactly 1/factor.
@@ -42,8 +39,8 @@ struct Scenario {
     double bandwidth_factor() const { return interconnect * bandwidth; }
 
     /// Canonical single-token rendering, e.g. "interconnect:2+overlap:0.5";
-    /// "identity" when is_identity(). Parsing the result reproduces the
-    /// Scenario exactly.
+    /// "identity" when it changes nothing (all magnitudes neutral). Parsing
+    /// the result reproduces the Scenario exactly.
     std::string canonical_spec() const;
 };
 

@@ -166,6 +166,12 @@ ModelSet model_set_from(const ExperimentSpec& spec,
     return ms;
 }
 
+namespace {
+
+/// Resolves a system preset by .edpm SPEC name ("DEEP"/"JURECA"). Throws
+/// InvalidArgumentError for unknown names — scenarios that need the system
+/// (repricing, fusion) are unavailable for models fitted on systems this
+/// build does not know.
 hw::SystemSpec system_preset(const std::string& name) {
     if (name == "DEEP") {
         return hw::SystemSpec::deep();
@@ -176,6 +182,8 @@ hw::SystemSpec system_preset(const std::string& name) {
     throw InvalidArgumentError("whatif: unknown system '" + name +
                                "' (no preset to reconstruct)");
 }
+
+}  // namespace
 
 sim::Workload reconstruct_workload(const ModelSet& ms, int ranks) {
     parallel::ParallelConfig config;

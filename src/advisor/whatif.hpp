@@ -34,12 +34,6 @@ struct ModelSet {
 ModelSet model_set_from(const ExperimentSpec& spec,
                         const ExperimentResult& result);
 
-/// Resolves a system preset by .edpm SPEC name ("DEEP"/"JURECA"). Throws
-/// InvalidArgumentError for unknown names — scenarios that need the system
-/// (repricing, fusion) are unavailable for models fitted on systems this
-/// build does not know.
-hw::SystemSpec system_preset(const std::string& name);
-
 /// Rebuilds the workload of one configuration from the model set's
 /// experiment parameters (the SPEC-reconstruction path the .edpm loader also
 /// uses for the step math). Throws if `ranks` is invalid for the strategy.

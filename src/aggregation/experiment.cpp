@@ -82,6 +82,9 @@ double derived_kernel_epoch_value(const KernelStats& kernel,
            static_cast<double>(steps.val_steps) * kernel.val_metric(metric);
 }
 
+namespace {
+
+/// Eqs. 8-10: per-epoch total of one phase.
 double derived_phase_epoch_value(const ConfigurationData& config,
                                  trace::Phase phase,
                                  const parallel::StepMath& steps,
@@ -91,6 +94,8 @@ double derived_phase_epoch_value(const ConfigurationData& config,
            static_cast<double>(steps.val_steps) *
                config.phase_metric(phase, metric, false);
 }
+
+}  // namespace
 
 double derived_epoch_total(const ConfigurationData& config,
                            const parallel::StepMath& steps, Metric metric) {

@@ -57,15 +57,9 @@ double derived_kernel_epoch_value(const KernelStats& kernel,
                                   const parallel::StepMath& steps,
                                   Metric metric);
 
-/// Eqs. 8-10: per-epoch total of one phase (computation / communication /
-/// memory operations).
-double derived_phase_epoch_value(const ConfigurationData& config,
-                                 trace::Phase phase,
-                                 const parallel::StepMath& steps,
-                                 Metric metric);
-
 /// Eq. 6: per-epoch total over all three phases (e.g. the training time per
-/// epoch when `metric` is Time).
+/// epoch when `metric` is Time); each phase total (computation /
+/// communication / memory operations) follows Eqs. 8-10.
 double derived_epoch_total(const ConfigurationData& config,
                            const parallel::StepMath& steps, Metric metric);
 

@@ -42,22 +42,4 @@ std::vector<RankedKernel> rank_by_growth(const std::vector<NamedModel>& models,
     return out;
 }
 
-std::vector<RankedKernel> rank_by_predicted_value(
-    const std::vector<NamedModel>& models, double target_scale, int param) {
-    if (target_scale <= 0.0) {
-        throw InvalidArgumentError(
-            "rank_by_predicted_value: target scale must be positive");
-    }
-    std::vector<RankedKernel> out;
-    out.reserve(models.size());
-    for (const auto& nm : models) {
-        out.push_back(make_entry(nm, target_scale, param));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const RankedKernel& a, const RankedKernel& b) {
-                  return a.predicted_at_target > b.predicted_at_target;
-              });
-    return out;
-}
-
 }  // namespace extradeep::analysis

@@ -31,10 +31,4 @@ struct RankedKernel {
 std::vector<RankedKernel> rank_by_growth(const std::vector<NamedModel>& models,
                                          double target_scale, int param = 0);
 
-/// Ranks kernels by the speedup their models predict at `target_scale`
-/// (largest gain first) - "the functions that benefit the most or least
-/// from scaling up the application" (Sec. 3.1).
-std::vector<RankedKernel> rank_by_predicted_value(
-    const std::vector<NamedModel>& models, double target_scale, int param = 0);
-
 }  // namespace extradeep::analysis

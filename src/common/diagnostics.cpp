@@ -15,24 +15,6 @@ std::string_view severity_name(Severity severity) {
     throw InvalidArgumentError("severity_name: unknown severity");
 }
 
-std::string Diagnostic::format() const {
-    std::ostringstream os;
-    os << severity_name(severity);
-    if (line >= 0 || rank >= 0) {
-        os << " [";
-        if (line >= 0) {
-            os << "line " << line;
-            if (rank >= 0) os << ", ";
-        }
-        if (rank >= 0) {
-            os << "rank " << rank;
-        }
-        os << "]";
-    }
-    os << ": " << reason;
-    return os.str();
-}
-
 void DiagnosticLog::add(Severity severity, std::string reason, long long line,
                         int rank) {
     Diagnostic d;

@@ -32,9 +32,6 @@ struct Diagnostic {
     long long line = -1;  ///< 1-based input line number, -1 if not line-scoped
     int rank = -1;        ///< MPI rank the problem belongs to, -1 if none
     std::string reason;   ///< human-readable description
-
-    /// "error [line 12, rank 3]: EDP: bad number for event start"
-    std::string format() const;
 };
 
 /// Append-only diagnostic collector. Storage is capped (default 1000

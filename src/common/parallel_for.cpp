@@ -13,14 +13,14 @@ namespace {
 /// worker threads that observe the pointer.
 std::atomic<const TaskContextHook*> g_task_context_hook{nullptr};
 
+const TaskContextHook* task_context_hook() {
+    return g_task_context_hook.load(std::memory_order_acquire);
+}
+
 }  // namespace
 
 void set_task_context_hook(const TaskContextHook* hook) {
     g_task_context_hook.store(hook, std::memory_order_release);
-}
-
-const TaskContextHook* task_context_hook() {
-    return g_task_context_hook.load(std::memory_order_acquire);
 }
 
 int resolve_num_threads(int requested) {

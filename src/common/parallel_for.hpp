@@ -38,7 +38,6 @@ struct TaskContextHook {
 /// initialisation paths may race benignly; registering a *different* hook
 /// while parallel loops are in flight is not supported.
 void set_task_context_hook(const TaskContextHook* hook);
-const TaskContextHook* task_context_hook();
 
 /// A small reusable thread pool with one FIFO task queue. Workers are
 /// spawned once and reused, so the pool can be hoisted out of hot loops.

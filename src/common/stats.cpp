@@ -91,17 +91,6 @@ double stddev(std::span<const double> values) {
     return std::sqrt(acc / static_cast<double>(values.size() - 1));
 }
 
-double mad(std::span<const double> values) {
-    require_non_empty(values, "mad");
-    const double med = median(values);
-    std::vector<double> dev;
-    dev.reserve(values.size());
-    for (double x : values) {
-        dev.push_back(std::abs(x - med));
-    }
-    return median(dev);
-}
-
 double coefficient_of_variation(std::span<const double> values) {
     const double m = mean(values);
     if (m == 0.0) {

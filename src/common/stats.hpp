@@ -29,9 +29,6 @@ double quantile(std::span<const double> values, double q);
 /// Unbiased (n-1) sample standard deviation; returns 0 for samples of size 1.
 double stddev(std::span<const double> values);
 
-/// Median absolute deviation (unscaled).
-double mad(std::span<const double> values);
-
 /// Coefficient of variation: stddev / |mean|. Throws if the mean is zero.
 double coefficient_of_variation(std::span<const double> values);
 

@@ -86,27 +86,4 @@ std::string Table::to_string() const {
     return os.str();
 }
 
-std::string Table::to_csv() const {
-    std::ostringstream os;
-    auto emit = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c) os << ',';
-            const bool quote = row[c].find(',') != std::string::npos;
-            if (quote) os << '"';
-            os << row[c];
-            if (quote) os << '"';
-        }
-        os << '\n';
-    };
-    emit(headers_);
-    for (const auto& row : rows_) {
-        emit(row);
-    }
-    return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const Table& t) {
-    return os << t.to_string();
-}
-
 }  // namespace extradeep

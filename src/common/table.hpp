@@ -1,6 +1,5 @@
 #pragma once
 
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -23,12 +22,6 @@ public:
     /// Renders the table with a header rule and per-column alignment
     /// (numbers are right-aligned automatically).
     std::string to_string() const;
-
-    /// Renders the table as comma-separated values (header + rows) for
-    /// machine-readable bench output.
-    std::string to_csv() const;
-
-    friend std::ostream& operator<<(std::ostream& os, const Table& t);
 
 private:
     std::vector<std::string> headers_;

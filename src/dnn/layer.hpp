@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "dnn/shape.hpp"
 
@@ -18,7 +17,6 @@ enum class LayerKind {
     BatchNorm,
     Activation,   ///< ReLU / swish / sigmoid — elementwise
     MaxPool,
-    AvgPool,
     GlobalAvgPool,
     Add,          ///< residual addition
     Scale,        ///< channelwise scale (squeeze-excite apply)
@@ -27,8 +25,6 @@ enum class LayerKind {
     Flatten,
     Dropout,
 };
-
-std::string_view layer_kind_name(LayerKind kind);
 
 /// One layer of a network with its fully-derived per-sample cost numbers.
 /// All FLOPs/bytes are *per sample*; the simulator multiplies by the batch
@@ -44,12 +40,6 @@ struct Layer {
     double flops_backward = 0.0;   ///< per-sample backward FLOPs (dgrad+wgrad)
     double weight_bytes = 0.0;     ///< fp32 bytes of the trainable parameters
     double output_bytes = 0.0;     ///< fp32 bytes of the output activation
-
-    /// True for layers whose forward pass is executed through cuDNN
-    /// (convolutions, pooling, batch norm, softmax).
-    bool uses_cudnn() const;
-    /// True for layers whose forward pass is a cuBLAS GEMM (dense layers).
-    bool uses_cublas() const;
 };
 
 }  // namespace extradeep::dnn

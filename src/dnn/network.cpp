@@ -25,18 +25,6 @@ double NetworkModel::flops_forward() const {
     return f;
 }
 
-double NetworkModel::flops_backward() const {
-    double f = 0.0;
-    for (const auto& l : layers) f += l.flops_backward;
-    return f;
-}
-
-double NetworkModel::activation_bytes() const {
-    double b = 0.0;
-    for (const auto& l : layers) b += l.output_bytes;
-    return b;
-}
-
 std::vector<std::size_t> NetworkModel::balanced_stage_bounds(int stages) const {
     if (stages < 1 || static_cast<std::size_t>(stages) > layers.size()) {
         throw InvalidArgumentError(
@@ -182,23 +170,6 @@ NetworkBuilder& NetworkBuilder::max_pool(int kernel, int stride,
         throw InvalidArgumentError("max_pool: input must be HWC");
     }
     Layer& l = push(LayerKind::MaxPool, name, "maxpool");
-    l.kernel_size = kernel;
-    const std::int64_t ho = ceil_div(shape_.dims[0], stride);
-    const std::int64_t wo = ceil_div(shape_.dims[1], stride);
-    l.output = TensorShape{ho, wo, shape_.dims[2]};
-    l.flops_forward = static_cast<double>(kernel) * kernel * l.output.elements();
-    l.flops_backward = static_cast<double>(l.output.elements());
-    l.output_bytes = l.output.bytes();
-    shape_ = l.output;
-    return *this;
-}
-
-NetworkBuilder& NetworkBuilder::avg_pool(int kernel, int stride,
-                                         const std::string& name) {
-    if (shape_.rank() != 3) {
-        throw InvalidArgumentError("avg_pool: input must be HWC");
-    }
-    Layer& l = push(LayerKind::AvgPool, name, "avgpool");
     l.kernel_size = kernel;
     const std::int64_t ho = ceil_div(shape_.dims[0], stride);
     const std::int64_t wo = ceil_div(shape_.dims[1], stride);

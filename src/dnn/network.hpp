@@ -21,11 +21,8 @@ struct NetworkModel {
     std::int64_t total_params() const;
     /// Total fp32 bytes of the gradient exchanged per step (== weight bytes).
     double gradient_bytes() const;
-    /// Per-sample forward / backward FLOPs of the full network.
+    /// Per-sample forward FLOPs of the full network.
     double flops_forward() const;
-    double flops_backward() const;
-    /// Per-sample bytes of all intermediate activations.
-    double activation_bytes() const;
 
     /// Splits the layer list into `stages` contiguous stages with roughly
     /// balanced forward FLOPs (used by pipeline parallelism). Returns the
@@ -54,7 +51,6 @@ public:
     NetworkBuilder& activation(const std::string& act = "relu",
                                const std::string& name = "");
     NetworkBuilder& max_pool(int kernel, int stride, const std::string& name = "");
-    NetworkBuilder& avg_pool(int kernel, int stride, const std::string& name = "");
     NetworkBuilder& global_avg_pool(const std::string& name = "");
     /// Residual addition with a branch whose output has the current shape.
     NetworkBuilder& add(const std::string& name = "");

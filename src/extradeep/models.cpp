@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/parallel_for.hpp"
-#include "common/stats.hpp"
 #include "dnn/datasets.hpp"
 #include "parallel/steps.hpp"
 
@@ -181,39 +180,6 @@ std::vector<KernelModelEntry> model_kernels(
         }
     });
     return out;
-}
-
-std::vector<PredictionEval> evaluate_model(const EpochModel& model,
-                                           const std::vector<double>& xs,
-                                           const std::vector<double>& measured) {
-    if (xs.size() != measured.size()) {
-        throw InvalidArgumentError("evaluate_model: size mismatch");
-    }
-    std::vector<PredictionEval> out;
-    out.reserve(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        PredictionEval e;
-        e.x = xs[i];
-        e.predicted = model.evaluate(xs[i]);
-        e.measured = measured[i];
-        e.percent_error = measured[i] == 0.0
-                              ? std::abs(e.predicted) > 0.0 ? 100.0 : 0.0
-                              : stats::percent_error(e.predicted, e.measured);
-        out.push_back(e);
-    }
-    return out;
-}
-
-double median_percent_error(const std::vector<PredictionEval>& evals) {
-    if (evals.empty()) {
-        throw InvalidArgumentError("median_percent_error: empty input");
-    }
-    std::vector<double> errors;
-    errors.reserve(evals.size());
-    for (const auto& e : evals) {
-        errors.push_back(e.percent_error);
-    }
-    return stats::median(errors);
 }
 
 }  // namespace extradeep

@@ -94,21 +94,4 @@ std::vector<KernelModelEntry> model_kernels(
     const modeling::ModelGenerator& generator = modeling::ModelGenerator(),
     int min_configs = aggregation::kMinModelingPoints);
 
-/// Model vs. measured comparison at one evaluation point.
-struct PredictionEval {
-    double x = 0.0;
-    double predicted = 0.0;
-    double measured = 0.0;
-    double percent_error = 0.0;  ///< 100 |pred - meas| / |meas|
-};
-
-/// Evaluates a model against measured values at the given points.
-std::vector<PredictionEval> evaluate_model(const EpochModel& model,
-                                           const std::vector<double>& xs,
-                                           const std::vector<double>& measured);
-
-/// Median percentage error over a set of evaluations (the MPE of the
-/// paper's Figs. 5-7 and Table 2).
-double median_percent_error(const std::vector<PredictionEval>& evals);
-
 }  // namespace extradeep

@@ -56,20 +56,8 @@ sim::Workload ExperimentRunner::workload_for(int ranks) const {
                                spec_.batch_per_worker);
 }
 
-StepMathFn ExperimentRunner::step_math_fn() const {
-    // Delegates to the persistence hook so that a model exported to .edpm
-    // and reloaded reconstructs the exact same step-count function.
-    return make_step_math_fn(spec_.dataset, spec_.strategy,
-                             spec_.model_parallel_degree, spec_.scaling,
-                             spec_.batch_per_worker);
-}
-
-modeling::ModelGenerator ExperimentRunner::default_generator() const {
-    return modeling::ModelGenerator();
-}
-
 ExperimentResult ExperimentRunner::run() const {
-    return run(default_generator());
+    return run(modeling::ModelGenerator());
 }
 
 ExperimentResult ExperimentRunner::run(
@@ -104,7 +92,11 @@ ExperimentResult ExperimentRunner::run(
     // (Eqs. 2-6). The derived per-epoch values are also recorded, both for
     // reporting model accuracy the way the paper defines it and for
     // downstream cost models.
-    result.step_math_fn = step_math_fn();
+    // The persistence hook, so that a model exported to .edpm and reloaded
+    // reconstructs the exact same step-count function.
+    result.step_math_fn = make_step_math_fn(
+        spec_.dataset, spec_.strategy, spec_.model_parallel_degree,
+        spec_.scaling, spec_.batch_per_worker);
     std::array<std::vector<double>, trace::kPhaseCount> phase_train;
     std::array<std::vector<double>, trace::kPhaseCount> phase_val;
     std::vector<double> total_train;
@@ -160,20 +152,6 @@ std::vector<double> ExperimentRunner::measured_epoch_times_all_reps(
 
 double ExperimentRunner::measured_epoch_time(int ranks) const {
     return stats::median(measured_epoch_times_all_reps(ranks));
-}
-
-double ExperimentRunner::measured_phase_time(int ranks,
-                                             trace::Phase phase) const {
-    const sim::TrainingSimulator simulator(workload_for(ranks));
-    std::vector<double> times;
-    times.reserve(spec_.repetitions);
-    for (int rep = 0; rep < spec_.repetitions; ++rep) {
-        const std::uint64_t seed = profiling::run_seed_for(
-            params_for(ranks), rep, spec_.seed ^ kGroundTruthSeedSalt);
-        times.push_back(simulator.measure_epoch_typical(seed)
-                            .phase_time[static_cast<int>(phase)]);
-    }
-    return stats::median(times);
 }
 
 std::vector<sim::KernelTotals> ExperimentRunner::measured_kernel_totals(

@@ -68,18 +68,11 @@ public:
     /// the strategy, e.g. not divisible by M for tensor parallelism).
     sim::Workload workload_for(int ranks) const;
 
-    /// n_t/n_v for any rank count of this experiment (Eqs. 2-3), computed
-    /// from the dataset and strategy alone (no simulator required).
-    StepMathFn step_math_fn() const;
-
-    /// The default model generator. Per-step metrics are non-decreasing in
-    /// the rank count under both scaling modes (the 1/x1 of strong scaling
-    /// lives in the analytical n_t factor, Eq. 2), so the standard
-    /// positive-exponent search space applies.
-    modeling::ModelGenerator default_generator() const;
-
     /// Runs profiling + aggregation + application-model fitting over the
-    /// modeling points, using default_generator().
+    /// modeling points with the default model generator. Per-step metrics
+    /// are non-decreasing in the rank count under both scaling modes (the
+    /// 1/x1 of strong scaling lives in the analytical n_t factor, Eq. 2), so
+    /// the standard positive-exponent search space applies.
     ExperimentResult run() const;
     /// Same, with an explicit generator (e.g. for search-space ablations).
     ExperimentResult run(const modeling::ModelGenerator& generator) const;
@@ -91,9 +84,6 @@ public:
     /// Ground truth per-repetition epoch times (to report run-to-run
     /// variation as in Fig. 3's error bars).
     std::vector<double> measured_epoch_times_all_reps(int ranks) const;
-
-    /// Ground truth per-phase epoch time (computation/communication/memory).
-    double measured_phase_time(int ranks, trace::Phase phase) const;
 
     /// Ground-truth per-kernel epoch totals (median over repetitions), for
     /// kernel-model evaluation (Table 2).

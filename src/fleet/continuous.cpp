@@ -9,6 +9,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/atomic_file.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "extradeep/ingest.hpp"
@@ -352,14 +353,9 @@ bool FleetService::install_model(const std::string& experiment,
     const std::uint64_t swap_start = clock_->now_ns();
     const std::string path =
         options_.models_dir + "/" + experiment + serve::kEdpmExtension;
-    const std::string tmp = path + ".tmp";
-    serve::write_edpm_file(tmp, model);
-    std::error_code ec;
-    fs::rename(tmp, path, ec);  // atomic on POSIX: readers see old or new
-    if (ec) {
-        fs::remove(tmp, ec);
-        throw Error("fleet: export rename failed for " + path);
-    }
+    write_file_atomically(path, [&](const std::string& tmp) {
+        serve::write_edpm_file(tmp, model);
+    });
     registry_->reload();  // keep-last-good hot swap
     const std::uint64_t swap_ns = clock_->now_ns() - swap_start;
     {

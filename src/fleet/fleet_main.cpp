@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/atomic_file.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
@@ -258,15 +259,16 @@ int run_drive(cli::Args& args) {
         const profiling::ProfiledRun run = profiler.profile(
             simulator, {{"x1", static_cast<double>(r)}}, rep, s.seed);
         if (via_spool) {
-            // Crash-consistent drop: write *.tmp, then rename into place.
+            // Rename-atomic drop; the spool scan skips the *.tmp file.
             const stdfs::path dir = stdfs::path(spool_dir) / experiment;
             stdfs::create_directories(dir);
             char name[32];
             std::snprintf(name, sizeof(name), "run-%06d", spool_seq++);
-            const stdfs::path tmp = dir / (std::string(name) + ".tmp");
-            const stdfs::path final_path = dir / (std::string(name) + ".edp");
-            profiling::write_edp_file(tmp.string(), run);
-            stdfs::rename(tmp, final_path);
+            write_file_atomically(
+                (dir / (std::string(name) + ".edp")).string(),
+                [&](const std::string& tmp) {
+                    profiling::write_edp_file(tmp, run);
+                });
         } else {
             std::ostringstream os;
             profiling::write_edp(os, run);

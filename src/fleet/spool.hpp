@@ -17,7 +17,7 @@ struct SpoolFile {
 ///
 /// Layout contract: `<spool>/<experiment>/<run>.edp`, one EDP profile per
 /// file, where `<experiment>` is the model name the runs belong to
-/// ([A-Za-z0-9._-], the registry-key alphabet). Crash consistency is the
+/// ([A-Za-z0-9._-], the registry-key alphabet). Rename atomicity is the
 /// writer's half of the bargain: write to a temporary name (`*.tmp`, or any
 /// name not ending in `.edp`) in the SAME directory, then rename(2) into
 /// place — the scanner only ever sees complete files because rename is

@@ -64,11 +64,6 @@ double allgather_time(const LinkSpec& link, double bytes, int p) {
     return phases * (link.latency_s + chunk / (link.bandwidth_gbs * 1e9));
 }
 
-double reduce_scatter_time(const LinkSpec& link, double bytes, int p) {
-    // Same communication structure as ring allgather.
-    return allgather_time(link, bytes, p);
-}
-
 double broadcast_time(const LinkSpec& link, double bytes, int p) {
     require_participants(p, "broadcast_time");
     if (p == 1) return 0.0;
@@ -85,8 +80,9 @@ double hierarchical_allreduce_time(const LinkSpec& inter, const LinkSpec& intra,
     if (gpus_per_node == 1) {
         return ring_allreduce_time(inter, bytes, nodes);
     }
-    // Phase 1: intra-node reduce-scatter over the fast local links.
-    const double t_local_rs = reduce_scatter_time(intra, bytes, gpus_per_node);
+    // Phase 1: intra-node reduce-scatter over the fast local links; a ring
+    // reduce-scatter has the communication structure of ring allgather.
+    const double t_local_rs = allgather_time(intra, bytes, gpus_per_node);
     // Phase 2: inter-node ring allreduce of each GPU's shard (bytes / g).
     const double t_inter =
         ring_allreduce_time(inter, bytes / gpus_per_node, nodes);

@@ -33,9 +33,6 @@ double mpi_allreduce_time(const LinkSpec& link, double bytes, int p);
 /// Ring allgather: (p-1) rounds, each moving bytes/p.
 double allgather_time(const LinkSpec& link, double bytes, int p);
 
-/// Ring reduce-scatter: (p-1) rounds, each moving bytes/p.
-double reduce_scatter_time(const LinkSpec& link, double bytes, int p);
-
 /// Binomial broadcast: ceil(log2 p) rounds of the full message.
 double broadcast_time(const LinkSpec& link, double bytes, int p);
 

@@ -434,8 +434,6 @@ ModelGenerator::ModelGenerator(FitOptions options) : options_(std::move(options)
 ModelGenerator::Design::Design(std::unique_ptr<const detail::DesignData> data)
     : data_(std::move(data)) {}
 ModelGenerator::Design::Design(Design&&) noexcept = default;
-ModelGenerator::Design& ModelGenerator::Design::operator=(Design&&) noexcept =
-    default;
 ModelGenerator::Design::~Design() = default;
 
 PerformanceModel ModelGenerator::fit(

@@ -62,7 +62,6 @@ public:
     class Design {
     public:
         Design(Design&&) noexcept;
-        Design& operator=(Design&&) noexcept;
         ~Design();
 
     private:

@@ -66,15 +66,6 @@ Tracer::Tracer(const Clock* clock)
     : uid_(g_next_tracer_uid.fetch_add(1, std::memory_order_relaxed)),
       clock_(clock != nullptr ? clock : &steady_clock_instance()) {}
 
-void Tracer::set_clock(const Clock* clock) {
-    clock_.store(clock != nullptr ? clock : &steady_clock_instance(),
-                 std::memory_order_release);
-}
-
-const Clock& Tracer::clock() const {
-    return *clock_.load(std::memory_order_acquire);
-}
-
 Tracer::ThreadBuffer& Tracer::local_buffer() {
     for (const CacheEntry& entry : t_buffers) {
         if (entry.uid == uid_) {
@@ -149,11 +140,11 @@ void Span::open(Tracer& tracer, std::string_view name) {
     id_ = (static_cast<std::uint64_t>(buffer_->index) + 1) << 40 |
           ++buffer_->next_seq;
     t_current_span = id_;
-    start_ns_ = tracer.clock().now_ns();
+    start_ns_ = tracer.clock_->now_ns();
 }
 
 void Span::close() {
-    const std::uint64_t end_ns = tracer_->clock().now_ns();
+    const std::uint64_t end_ns = tracer_->clock_->now_ns();
     t_current_span = parent_;
     SpanRecord record;
     record.name = std::move(name_);

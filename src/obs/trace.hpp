@@ -56,12 +56,6 @@ public:
     Tracer(const Tracer&) = delete;
     Tracer& operator=(const Tracer&) = delete;
 
-    /// Swaps the time source for spans opened after this call. Intended for
-    /// tests to make global_tracer() deterministic; not safe to call while
-    /// spans are in flight on other threads.
-    void set_clock(const Clock* clock);
-    const Clock& clock() const;
-
     /// All completed spans so far, sorted by (start_ns, id).
     std::vector<SpanRecord> snapshot() const;
 
@@ -87,7 +81,7 @@ private:
     ThreadBuffer& local_buffer();
 
     const std::uint64_t uid_;  ///< distinguishes tracers in thread caches
-    std::atomic<const Clock*> clock_;
+    const Clock* const clock_;
     mutable std::mutex mutex_;  ///< guards `buffers_`
     std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
 };

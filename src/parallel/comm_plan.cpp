@@ -7,16 +7,6 @@
 
 namespace extradeep::parallel {
 
-std::string_view comm_op_kind_name(CommOpKind kind) {
-    switch (kind) {
-        case CommOpKind::Allreduce: return "allreduce";
-        case CommOpKind::Allgather: return "allgather";
-        case CommOpKind::Broadcast: return "broadcast";
-        case CommOpKind::SendRecv: return "sendrecv";
-    }
-    throw InvalidArgumentError("comm_op_kind_name: unknown kind");
-}
-
 namespace {
 
 /// Splits `total_bytes` into Horovod-style fusion buckets.

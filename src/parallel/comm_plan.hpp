@@ -16,8 +16,6 @@ enum class CommOpKind {
     SendRecv,
 };
 
-std::string_view comm_op_kind_name(CommOpKind kind);
-
 /// One communication operation executed during a training/validation step
 /// (or once at startup). The simulator turns these into MPI_* or nccl*
 /// kernel events and prices them with the hw collective models.

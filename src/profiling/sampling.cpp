@@ -1,6 +1,5 @@
 #include "profiling/sampling.hpp"
 
-#include <sstream>
 
 namespace extradeep::profiling {
 
@@ -31,19 +30,6 @@ sim::TraceOptions SamplingStrategy::trace_options(std::uint64_t run_seed) const 
     o.val_steps_per_epoch = val_steps_per_epoch;
     o.run_seed = run_seed;
     return o;
-}
-
-std::string SamplingStrategy::describe() const {
-    std::ostringstream os;
-    os << (kind == Kind::Efficient ? "efficient sampling" : "standard profiling")
-       << " (" << epochs << " epochs, ";
-    if (train_steps_per_epoch < 0) {
-        os << "all";
-    } else {
-        os << train_steps_per_epoch;
-    }
-    os << " train steps, " << discard_warmup_epochs << " warm-up epoch(s) discarded)";
-    return os.str();
 }
 
 }  // namespace extradeep::profiling

@@ -31,8 +31,6 @@ struct SamplingStrategy {
 
     /// Translates into simulator trace options for one repetition.
     sim::TraceOptions trace_options(std::uint64_t run_seed) const;
-
-    std::string describe() const;
 };
 
 }  // namespace extradeep::profiling

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "serve/query.hpp"
@@ -102,7 +103,10 @@ int run_fit(cli::Args& args) {
     const ExperimentResult result = runner.run();
     const serve::ServableModel model =
         serve::make_servable(spec, result, name);
-    serve::write_edpm_file(out_path, model);
+    // A daemon reloading this directory must never load a half-written file.
+    write_file_atomically(out_path, [&](const std::string& tmp) {
+        serve::write_edpm_file(tmp, model);
+    });
     std::printf("wrote %s (%s)\n", out_path.c_str(),
                 model.provenance.c_str());
     return 0;

@@ -218,8 +218,7 @@ void expand_layer(ScheduleAccum& acc, const ExpandContext& ctx,
             acc.train(elem_kernel, KernelCategory::CudaKernel, true, t_bwd, 1);
             break;
         }
-        case dnn::LayerKind::MaxPool:
-        case dnn::LayerKind::AvgPool: {
+        case dnn::LayerKind::MaxPool: {
             emit_op(acc, ctx, "pooling_fw_4d_kernel", KernelCategory::Cudnn,
                     "cudnnPoolingForward", fwd_flops, act_bytes, 0.3, false);
             emit_op(acc, ctx, "pooling_bw_4d_kernel", KernelCategory::Cudnn,

@@ -565,7 +565,8 @@ TEST(DerivedMetrics, EpochTotalSumsAllPhases) {
     sm.val_steps = 4;
     EXPECT_DOUBLE_EQ(derived_epoch_total(c, sm, Metric::Time),
                      10 * 6.0 + 4 * 0.5);
-    EXPECT_DOUBLE_EQ(derived_phase_epoch_value(c, trace::Phase::Communication,
-                                               sm, Metric::Time),
-                     20.0);
+    // One phase alone: 10 training steps of 2.0 s of communication.
+    ConfigurationData comm_only;
+    comm_only.phase_train[1][0] = 2.0;
+    EXPECT_DOUBLE_EQ(derived_epoch_total(comm_only, sm, Metric::Time), 20.0);
 }

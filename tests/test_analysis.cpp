@@ -129,15 +129,6 @@ TEST(Bottleneck, GrowthTieBrokenByPredictedValue) {
     EXPECT_EQ(ranked[0].name, "big_linear");
 }
 
-TEST(Bottleneck, RankByPredictedValue) {
-    std::vector<NamedModel> models;
-    models.push_back({"a", one_term_model(1000.0, 0.0, 0.0, 0)});
-    models.push_back({"b", one_term_model(0.0, 1.0, 1.0, 0)});  // 64 at x=64
-    const auto ranked = rank_by_predicted_value(models, 64.0);
-    EXPECT_EQ(ranked[0].name, "a");
-    EXPECT_THROW(rank_by_predicted_value(models, 0.0), InvalidArgumentError);
-}
-
 TEST(ConfigSearch, WeakScalingPicksSmallestFeasible) {
     // Weak scaling: runtime rises slowly; smallest allocation wins.
     const auto runtime = one_term_model(100.0, 10.0, 0.0, 1);

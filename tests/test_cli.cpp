@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "eval/oracle.hpp"
@@ -188,6 +189,37 @@ TEST_F(CliFiles, WriteReportRoundTrips) {
     EXPECT_EQ(cli::read_text_file(path, "test"), "{}\n");
     EXPECT_THROW(eval::write_report((dir_ / "no/such/dir.json").string(), "x"),
                  Error);
+}
+
+TEST_F(CliFiles, AtomicWriteReplacesTheFileAndLeavesNoTmp) {
+    const std::string path = write("model.edpm", "old\n");
+    write_file_atomically(path, [](const std::string& tmp) {
+        std::ofstream(tmp) << "new\n";
+    });
+    EXPECT_EQ(cli::read_text_file(path, "test"), "new\n");
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
+TEST_F(CliFiles, AtomicWriteThatThrowsKeepsTheOldFileAndNoTmp) {
+    const std::string path = write("model.edpm", "old\n");
+    EXPECT_THROW(write_file_atomically(path,
+                                       [](const std::string& tmp) {
+                                           std::ofstream(tmp) << "half";
+                                           throw Error("writer failed");
+                                       }),
+                 Error);
+    EXPECT_EQ(cli::read_text_file(path, "test"), "old\n");
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+    // A rename that cannot happen (the target is a non-empty directory)
+    // throws and removes the tmp file too.
+    const std::string blocked = (dir_ / "blocked").string();
+    fs::create_directories(blocked + "/inside");
+    EXPECT_THROW(write_file_atomically(blocked,
+                                       [](const std::string& tmp) {
+                                           std::ofstream(tmp) << "x";
+                                       }),
+                 Error);
+    EXPECT_FALSE(fs::exists(blocked + ".tmp"));
 }
 
 TEST(CliReport, WriteFailureOnAFullDeviceThrows) {

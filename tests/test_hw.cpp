@@ -102,12 +102,6 @@ TEST(Collectives, BroadcastLogRounds) {
     EXPECT_NEAR(broadcast_time(link, 1e9, 8), 3.0, 1e-9);
 }
 
-TEST(Collectives, ReduceScatterEqualsAllgather) {
-    LinkSpec link{1e-6, 5.0};
-    EXPECT_DOUBLE_EQ(reduce_scatter_time(link, 1e7, 8),
-                     allgather_time(link, 1e7, 8));
-}
-
 TEST(Collectives, HierarchicalFallsBackToFlatRing) {
     LinkSpec inter{1e-6, 1.0};
     LinkSpec intra{1e-7, 30.0};

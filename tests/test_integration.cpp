@@ -173,21 +173,6 @@ TEST(Integration, MeasuredKernelTotalsMatchModeledKernels) {
     EXPECT_GT(compared, 10);
 }
 
-TEST(Integration, EvaluateModelHelper) {
-    const ExperimentRunner runner(small_spec());
-    const ExperimentResult result = runner.run();
-    std::vector<double> xs;
-    std::vector<double> measured;
-    for (const int x : {16, 32}) {
-        xs.push_back(x);
-        measured.push_back(runner.measured_epoch_time(x));
-    }
-    const auto evals = evaluate_model(result.epoch_time, xs, measured);
-    ASSERT_EQ(evals.size(), 2u);
-    EXPECT_GT(median_percent_error(evals), 0.0);
-    EXPECT_LT(median_percent_error(evals), 30.0);
-}
-
 TEST(Integration, RunToRunVariationInPaperRange) {
     const ExperimentRunner runner(small_spec());
     const auto reps = runner.measured_epoch_times_all_reps(10);
@@ -293,7 +278,7 @@ TEST(EpochModel, PredictionIntervalScalesWithSteps) {
 
 TEST(EpochModel, StepMathFnMatchesWorkload) {
     const ExperimentRunner runner(small_spec());
-    const StepMathFn fn = runner.step_math_fn();
+    const StepMathFn fn = runner.run().step_math_fn;
     for (const int ranks : {2, 8, 32}) {
         const auto from_fn = fn(ranks);
         const auto from_workload = runner.workload_for(ranks).step_math();

@@ -635,6 +635,9 @@ TEST(ServeDaemon, StalledConnectionDoesNotBlockOtherClients) {
     }
     // Far below the 30s idle timeout the stalled connection is sitting on.
     EXPECT_LT(elapsed_s, 10.0);
+    // Close the half-sent connection first: the drain keeps a partial line
+    // alive until recv_timeout_ms, so wait() would otherwise take 30 s.
+    stalled.reset();
     daemon.stop();
     daemon.wait();
 }

@@ -137,11 +137,6 @@ TEST(Stddev, ZeroForSingleValue) {
     EXPECT_DOUBLE_EQ(stats::stddev(v), 0.0);
 }
 
-TEST(Mad, KnownValue) {
-    const std::vector<double> v = {1.0, 1.0, 2.0, 2.0, 4.0, 6.0, 9.0};
-    EXPECT_DOUBLE_EQ(stats::mad(v), 1.0);
-}
-
 TEST(CoefficientOfVariation, Basic) {
     const std::vector<double> v = {9.0, 10.0, 11.0};
     EXPECT_NEAR(stats::coefficient_of_variation(v), 0.1, 1e-12);

@@ -47,14 +47,6 @@ TEST(Table, ThrowsOnNoHeaders) {
     EXPECT_THROW(Table({}), InvalidArgumentError);
 }
 
-TEST(Table, CsvEscapesCommas) {
-    Table t({"name", "desc"});
-    t.add_row({"x", "a,b"});
-    const std::string csv = t.to_csv();
-    EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-    EXPECT_EQ(csv.find("name,desc"), 0u);
-}
-
 TEST(Format, Fixed) {
     EXPECT_EQ(fmt::fixed(3.14159, 2), "3.14");
     EXPECT_EQ(fmt::fixed(-1.0, 0), "-1");

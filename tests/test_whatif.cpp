@@ -80,7 +80,7 @@ TEST(Scenario, ParsesSingleTransforms) {
     EXPECT_EQ(advisor::parse_scenario("collective:tree").collective,
               advisor::CollectiveAlgo::Tree);
     EXPECT_EQ(advisor::parse_scenario("fuse:4").fuse, 4);
-    EXPECT_TRUE(advisor::parse_scenario("identity").is_identity());
+    EXPECT_EQ(advisor::parse_scenario("identity").canonical_spec(), "identity");
 }
 
 TEST(Scenario, ParsesCompositions) {
@@ -89,7 +89,7 @@ TEST(Scenario, ParsesCompositions) {
     EXPECT_EQ(sc.interconnect, 2.0);
     EXPECT_EQ(sc.overlap, 0.5);
     EXPECT_EQ(sc.fuse, 4);
-    EXPECT_FALSE(sc.is_identity());
+    EXPECT_NE(sc.canonical_spec(), "identity");
 
     // Repeats compose: factors multiply, overlap combines on the remaining
     // visible share, fuse takes the max.
